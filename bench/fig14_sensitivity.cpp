@@ -109,6 +109,8 @@ RTNN_BENCH_CASE(fig14, "fig14", "Figure 14 — sensitivity to r and K (Buddha)",
                 t_fast / t_rtnn);
   }
   std::puts("\nexpected shape: 14a speedup peaks at moderate r and decays (stays >1);");
-  std::puts("14b speedup grows with K, flattening/degrading at the largest K.");
+  std::puts("14b speedup grows with K and flattens at the largest K. The paper's");
+  std::puts("K=128 dip comes from bundling over-merging to save per-bundle builds;");
+  std::puts("here one index serves every width, so partitions are never merged.");
   std::puts("(* FastRNN extrapolated from a 10% query probe.)");
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <span>
 
 namespace rtnn {
 
@@ -86,6 +87,14 @@ constexpr Vec3 lerp(const Vec3& a, const Vec3& b, float t) { return a + (b - a) 
 
 inline bool is_finite(const Vec3& v) {
   return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
+/// The input contract of every search entry point: no NaN/Inf coordinate.
+inline bool all_finite(std::span<const Vec3> points) {
+  for (const Vec3& p : points) {
+    if (!is_finite(p)) return false;
+  }
+  return true;
 }
 
 std::ostream& operator<<(std::ostream& os, const Vec3& v);

@@ -117,7 +117,7 @@ class RtnnBackend final : public SearchBackend {
             .dynamic = true, .snapshot = true};
   }
   void set_points(std::span<const Vec3> points) override { search_.set_points(points); }
-  /// Dynamic lifecycle: keeps the base-width accel across frames and lets
+  /// Dynamic lifecycle: keeps the accel across frames and lets
   /// the cost model refit or rebuild it (Report::time.refit / time.bvh).
   void update_points(std::span<const Vec3> points) override {
     search_.update_points(points);

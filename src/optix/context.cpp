@@ -18,7 +18,7 @@ Accel Context::build_accel(std::span<const Aabb> prim_aabbs,
   return accel;
 }
 
-Accel Context::build_tiled_accel(std::span<const Vec3> points, float aabb_width,
+Accel Context::build_tiled_accel(std::span<const Vec3> points,
                                  std::span<const std::vector<std::uint32_t>> tile_ids,
                                  const TiledAccelOptions& options) const {
   Timer timer;
@@ -26,7 +26,7 @@ Accel Context::build_tiled_accel(std::span<const Vec3> points, float aabb_width,
   rt::TiledBuildOptions build_options;
   build_options.leaf_size = options.leaf_size;
   build_options.lazy_build = options.lazy_build;
-  data->tiled.build(points, aabb_width, tile_ids, build_options);
+  data->tiled.build(points, tile_ids, build_options);
   Accel accel;
   accel.data_ = std::move(data);
   accel.build_seconds_ = timer.elapsed();
@@ -59,18 +59,18 @@ void Accel::refit(std::span<const Aabb> prim_aabbs) {
   refit_seconds_ = timer.elapsed();
 }
 
-void Accel::refit(std::span<const Vec3> points, float aabb_width) {
+void Accel::refit(std::span<const Vec3> points) {
   RTNN_CHECK(built(), "refit of an unbuilt accel");
   RTNN_CHECK(!is_tiled(), "tiled accels update through update_tiled()");
   Timer timer;
   std::shared_ptr<detail::AccelData> data = writable(data_);
-  data->bvh.refit(points, aabb_width);
+  data->bvh.refit(points);
   data->wide.refit_from(data->bvh);
   data_ = std::move(data);
   refit_seconds_ = timer.elapsed();
 }
 
-rt::TiledUpdateStats Accel::update_tiled(std::span<const Vec3> points,
+rt::TiledUpdateStats Accel::update_tiled(std::span<const Vec3> points, float sah_half_width,
                                          const rt::TileUpdatePolicy& policy) {
   RTNN_CHECK(is_tiled(), "update_tiled on a non-tiled accel");
   Timer timer;
@@ -78,7 +78,7 @@ rt::TiledUpdateStats Accel::update_tiled(std::span<const Vec3> points,
   // The outer COW clones the tile-pointer vector only; untouched tiles
   // stay shared with the snapshot through their shared_ptrs, and
   // TiledBvh::update replaces just the touched ones.
-  const rt::TiledUpdateStats stats = data->tiled.update(points, policy);
+  const rt::TiledUpdateStats stats = data->tiled.update(points, sah_half_width, policy);
   data_ = std::move(data);
   refit_seconds_ = timer.elapsed();
   return stats;

@@ -9,7 +9,7 @@
 //
 //   * ox::Context::build_accel(aabbs)  ~ optixAccelBuild over
 //     OPTIX_BUILD_INPUT_TYPE_CUSTOM_PRIMITIVES
-//   * ox::launch(ctx, accel, pipeline, width) ~ optixLaunch
+//   * ox::launch(accel, pipeline, width, options) ~ optixLaunch
 //   * Pipeline::raygen(i) is the RG shader: it returns the ray for launch
 //     index i (optixGetLaunchIndex + optixTrace).
 //   * Pipeline::intersection(ray, prim) is the IS shader; returning
@@ -22,6 +22,10 @@
 // "Single Instruction Multiple Rays": each launch index maps to one ray /
 // one SIMT lane; the warp-lockstep execution model is selected through
 // LaunchOptions.
+//
+// One departure from OptiX: RT cores cannot grow boxes while they
+// traverse, so RTNN builds one GAS per AABB width; here the width is a
+// launch argument (LaunchOptions::aabb_half_width) over one accel.
 #pragma once
 
 #include <concepts>
@@ -133,9 +137,9 @@ class Accel {
   /// after cumulative motion is observable via sah_inflation().
   void refit(std::span<const Aabb> prim_aabbs);
 
-  /// Point-cloud fast path: refit over Aabb::cube(points[i], aabb_width)
-  /// without materializing the box array (the per-frame RTNN shape).
-  void refit(std::span<const Vec3> points, float aabb_width);
+  /// Point-cloud fast path: refit over the bare moved points (the
+  /// per-frame RTNN shape).
+  void refit(std::span<const Vec3> points);
 
   /// Tiled-accel update: absorbs one frame of motion locally. Only
   /// *touched* tiles (bitwise position change) do any work, each deciding
@@ -143,7 +147,7 @@ class Accel {
   /// monolithic refit-or-rebuild choice. Copy-on-write like refit():
   /// snapshots sharing this build product keep the pre-update tiles.
   /// Wall time is charged to refit_seconds().
-  rt::TiledUpdateStats update_tiled(std::span<const Vec3> points,
+  rt::TiledUpdateStats update_tiled(std::span<const Vec3> points, float sah_half_width,
                                     const rt::TileUpdatePolicy& policy);
 
   /// Build-time of the last build, seconds (the BVH phase of Figure 12).
@@ -152,14 +156,16 @@ class Accel {
   /// Wall time of the last refit(), seconds (the Refit phase).
   double refit_seconds() const { return refit_seconds_; }
 
-  /// SAH cost relative to the last full build of this topology: 1.0 when
-  /// freshly built, growing as refits stretch the boxes. Feeds the
+  /// SAH cost at `half_width` relative to the last full build of this
+  /// topology: 1.0 when freshly built, growing as refits stretch the
+  /// boxes (rt::Bvh::sah_inflation). Feeds the
   /// refit-vs-rebuild policy (CostModel::max_sah_inflation). For a tiled
   /// accel this is the *worst* built tile's inflation — the number the
   /// per-tile policy reacted to most recently.
-  double sah_inflation() const {
+  double sah_inflation(float half_width) const {
     if (data_ == nullptr) return 1.0;
-    return is_tiled() ? data_->tiled.max_sah_inflation() : data_->bvh.sah_inflation();
+    return is_tiled() ? data_->tiled.max_sah_inflation(half_width)
+                      : data_->bvh.sah_inflation(half_width);
   }
 
  private:
@@ -186,6 +192,10 @@ struct LaunchOptions {
   /// against, kept as the opt-out fallback. Ignored unless the launch
   /// takes the wide path.
   bool use_compressed_bvh = true;
+  /// Half the AABB width this launch searches at: every box is grown by it
+  /// on each face, so an accel over bare points answers exactly like one
+  /// over Aabb::cube(p, 2 * aabb_half_width) (rt::TraceConfig).
+  float aabb_half_width = 0.0f;
 };
 
 /// Shader-pipeline concepts. A pipeline must at least provide the RG and
@@ -222,13 +232,13 @@ class Context {
   Accel build_accel(std::span<const Aabb> prim_aabbs,
                     const AccelBuildOptions& options = {}) const;
 
-  /// Builds the two-level (IAS-like) product: `tile_ids[t]` lists the
-  /// point ids of spatial tile t (a partition of the cloud; the caller
-  /// supplies Morton-contiguous tiles from the sharding planner), every
-  /// point boxed as Aabb::cube(points[i], aabb_width). With lazy_build the
-  /// bottom-level indexes defer to their first routed ray and only the
-  /// tile bounds + top-level BVH are paid here.
-  Accel build_tiled_accel(std::span<const Vec3> points, float aabb_width,
+  /// Builds the two-level (IAS-like) product over the bare points:
+  /// `tile_ids[t]` lists the point ids of spatial tile t (a partition of
+  /// the cloud; the caller supplies Morton-contiguous tiles from the
+  /// sharding planner). With lazy_build the bottom-level indexes defer to
+  /// their first routed ray and only the tile bounds + top-level BVH are
+  /// paid here.
+  Accel build_tiled_accel(std::span<const Vec3> points,
                           std::span<const std::vector<std::uint32_t>> tile_ids,
                           const TiledAccelOptions& options = {}) const;
 };
@@ -277,6 +287,7 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   config.simulate_caches = options.simulate_caches;
   config.collect_stats = options.collect_stats || options.simulate_caches;
   config.use_compressed = options.use_compressed_bvh;
+  config.aabb_half_width = options.aabb_half_width;
   const bool wide =
       options.model == ExecutionModel::kIndependent && options.use_wide_bvh;
   // A tiled accel has exactly one traversal: the TLAS walk (independent

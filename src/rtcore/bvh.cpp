@@ -122,8 +122,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   scene_bounds_ = Aabb{};
   level_nodes_.clear();
   level_offsets_.clear();
-  baseline_sah_ = -1.0;
-  sah_inflation_ = 1.0;
+  refitted_ = false;
   const auto n = static_cast<std::uint32_t>(prims.size());
   if (n == 0) return;
 
@@ -326,25 +325,39 @@ void Bvh::ensure_levels() const {
   }
 }
 
-double Bvh::sah_cost_of_bounds() const {
-  if (nodes_.empty()) return 0.0;
-  const double root_area = nodes_[0].bounds.surface_area();
-  if (root_area <= 0.0) return 0.0;
-  const double sum = parallel_reduce<double>(
-      0, static_cast<std::int64_t>(nodes_.size()), 0.0,
+void Bvh::SahSums::add(const Aabb& box, double w) {
+  const Vec3 e = box.extent();
+  area += w * box.surface_area();
+  extent += w * (static_cast<double>(e.x) + e.y + e.z);
+  weight += w;
+}
+
+Bvh::SahSums Bvh::sah_sums() const {
+  return parallel_reduce<SahSums>(
+      0, static_cast<std::int64_t>(nodes_.size()), SahSums{},
       [&](std::int64_t i) {
         const BvhNode& node = nodes_[static_cast<std::size_t>(i)];
-        return static_cast<double>(node.bounds.surface_area()) *
-               (node.is_leaf() ? node.count : 1.0);
+        SahSums out;
+        out.add(node.bounds, node.is_leaf() ? node.count : 1.0);
+        return out;
       },
-      [](double a, double b) { return a + b; }, grain::kElementwise);
-  return sum / root_area;
+      [](SahSums a, const SahSums& b) { return a += b; }, grain::kElementwise);
+}
+
+double Bvh::sah_inflation(float half_width) const {
+  if (!refitted_) return 1.0;
+  SahSums root;
+  root.add(nodes_[0].bounds, 1.0);
+  // A degenerate root (zero area at h = 0) yields NaN and reads as 1.0.
+  const double base = baseline_sah_.at(half_width) / baseline_root_.at(half_width);
+  const double now = refit_sah_.at(half_width) / root.at(half_width);
+  return (base > 0.0 && now > 0.0) ? now / base : 1.0;
 }
 
 // The refit engine: one bottom-up sweep that recomputes leaf bounds from
 // the moved primitive boxes (writing the primitive snapshot cache-hot, in
 // the same touch), re-unites interior bounds, and accumulates the SAH
-// quality metric — all in a single pass over the node array. `prim_box`
+// quality sums — all in a single pass over the node array. `prim_box`
 // yields primitive id's moved box; it is called exactly once per
 // primitive (each primitive lives in exactly one leaf).
 template <typename PrimBox>
@@ -353,12 +366,16 @@ void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
              "refit requires the same primitive count as the build");
   if (nodes_.empty()) return;
 
-  // The inflation baseline: the SAH cost this topology had for the boxes
-  // it was built over, captured lazily before the first refit disturbs it.
-  if (baseline_sah_ < 0.0) baseline_sah_ = sah_cost_of_bounds();
+  // The inflation baseline: the bounds this topology was built for,
+  // captured before the first refit disturbs them.
+  if (!refitted_) {
+    baseline_sah_ = sah_sums();
+    baseline_root_ = SahSums{};
+    baseline_root_.add(nodes_[0].bounds, 1.0);
+  }
 
   struct SweepAcc {
-    double area = 0.0;
+    SahSums sah;
     std::uint64_t empties = 0;
   };
   const auto refit_node = [&](BvhNode& node) {
@@ -373,10 +390,10 @@ void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
         bounds.grow(box);
       }
       node.bounds = bounds;
-      acc.area = static_cast<double>(bounds.surface_area()) * node.count;
+      acc.sah.add(bounds, node.count);
     } else {
       node.bounds = unite(nodes_[node.left].bounds, nodes_[node.right].bounds);
-      acc.area = static_cast<double>(node.bounds.surface_area());
+      acc.sah.add(node.bounds, 1.0);
     }
     return acc;
   };
@@ -387,7 +404,7 @@ void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
     // index loop is a valid (and cache-friendly) serial bottom-up sweep.
     for (std::size_t i = nodes_.size(); i-- > 0;) {
       const SweepAcc acc = refit_node(nodes_[i]);
-      total.area += acc.area;
+      total.sah += acc.sah;
       total.empties += acc.empties;
     }
   } else {
@@ -399,12 +416,12 @@ void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
             return refit_node(nodes_[level_nodes_[static_cast<std::size_t>(s)]]);
           },
           [](SweepAcc a, const SweepAcc& b) {
-            a.area += b.area;
+            a.sah += b.sah;
             a.empties += b.empties;
             return a;
           },
           grain::kElementwise);
-      total.area += acc.area;
+      total.sah += acc.sah;
       total.empties += acc.empties;
     }
   }
@@ -412,19 +429,16 @@ void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
 
   // The root *is* the union of every primitive box.
   scene_bounds_ = nodes_[0].bounds;
-  const double root_area = nodes_[0].bounds.surface_area();
-  const double sah = root_area > 0.0 ? total.area / root_area : 0.0;
-  sah_inflation_ = (baseline_sah_ > 0.0 && sah > 0.0) ? sah / baseline_sah_ : 1.0;
+  refit_sah_ = total.sah;
+  refitted_ = true;
 }
 
 void Bvh::refit(std::span<const Aabb> prims) {
   refit_impl(prims.size(), [&](std::uint32_t prim) { return prims[prim]; });
 }
 
-void Bvh::refit(std::span<const Vec3> centers, float width) {
-  RTNN_CHECK(width > 0.0f, "refit AABB width must be positive");
-  refit_impl(centers.size(),
-             [&](std::uint32_t prim) { return Aabb::cube(centers[prim], width); });
+void Bvh::refit(std::span<const Vec3> points) {
+  refit_impl(points.size(), [&](std::uint32_t prim) { return Aabb{points[prim], points[prim]}; });
 }
 
 BvhStats Bvh::stats() const {

@@ -68,17 +68,16 @@ class Bvh {
   /// (empty input box) the tree's bounds are unspecified; rebuild.
   void refit(std::span<const Aabb> prims);
 
-  /// Point-cloud fast path: refit over Aabb::cube(centers[i], width)
-  /// without materializing the box array — the RTNN frame shape (one
-  /// cubic AABB per moved point). Saves a full write+read pass over the
-  /// primitive boxes; the refit hot loop computes them in registers.
-  void refit(std::span<const Vec3> centers, float width);
+  /// Point-cloud fast path: refit over the bare moved points without
+  /// materializing the box array — the RTNN frame shape.
+  void refit(std::span<const Vec3> points);
 
   /// Surface-area-heuristic cost of the current bounds relative to the
-  /// bounds this topology was built for: 1.0 after build(), growing as
-  /// successive refit()s stretch the boxes. The rebuild policy's quality
-  /// signal (CostModel::max_sah_inflation).
-  double sah_inflation() const { return sah_inflation_; }
+  /// bounds this topology was built for, every box grown by `half_width`
+  /// (the half-width the tree is searched at; bare leaves have no area):
+  /// 1.0 after build(), growing as successive refit()s stretch the boxes.
+  /// The rebuild policy's quality signal (CostModel::max_sah_inflation).
+  double sah_inflation(float half_width) const;
 
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
@@ -105,7 +104,23 @@ class Bvh {
                             const std::vector<std::uint64_t>& codes,
                             std::uint32_t depth);
   void ensure_levels() const;
-  double sah_cost_of_bounds() const;
+
+  /// Weighted surface-area sums that price any half-width h: a box grown
+  /// by h on each face has area A + 8h·E + 24h², E = ex + ey + ez.
+  struct SahSums {
+    double area = 0.0, extent = 0.0, weight = 0.0;  // Σ w·A, Σ w·E, Σ w
+    void add(const Aabb& box, double w);
+    double at(double h) const { return area + 8.0 * h * extent + 24.0 * h * h * weight; }
+    SahSums& operator+=(const SahSums& o) {
+      area += o.area;
+      extent += o.extent;
+      weight += o.weight;
+      return *this;
+    }
+  };
+  /// Sums over the nodes, weighted as in stats().sah_cost.
+  SahSums sah_sums() const;
+
   /// Shared refit engine: `prim_box(id)` yields primitive id's moved box.
   template <typename PrimBox>
   void refit_impl(std::size_t prim_count, PrimBox prim_box);
@@ -119,12 +134,12 @@ class Bvh {
 
   // Refit state. The level schedule (node ids bucketed by depth, deepest
   // first) depends only on topology, so it is computed on the first refit
-  // and reused until the next build(); baseline_sah_ is the fresh-build
-  // SAH cost the inflation metric is measured against.
+  // and reused until the next build(); baseline_sah_ / baseline_root_ sum
+  // the fresh-build bounds the inflation metric is measured against.
   mutable std::vector<std::uint32_t> level_nodes_;    // ids, deepest level first
   mutable std::vector<std::uint32_t> level_offsets_;  // level l = [l, l+1) slice
-  double baseline_sah_ = -1.0;  // <0: not captured yet
-  double sah_inflation_ = 1.0;
+  bool refitted_ = false;  // since the last build()
+  SahSums baseline_sah_, baseline_root_, refit_sah_;
 };
 
 }  // namespace rtnn::rt

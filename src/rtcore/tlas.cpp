@@ -12,21 +12,17 @@ namespace rtnn::rt {
 
 namespace {
 
-/// Bounds over the member cubes: the point bounds expanded by half the
-/// AABB width on every axis. Exactly contains every Aabb::cube(p, width).
-Aabb member_bounds(std::span<const Vec3> positions, float width) {
+Aabb point_bounds(std::span<const Vec3> positions) {
   Aabb box;
   for (const Vec3& p : positions) box.grow(p);
-  const float half = 0.5f * width;
-  const Vec3 pad{half, half, half};
-  return Aabb{box.lo - pad, box.hi + pad};
+  return box;
 }
 
-std::shared_ptr<const TiledBvh::TileIndex> build_index(
-    std::span<const Vec3> positions, float width, std::uint32_t leaf_size) {
+std::shared_ptr<const TiledBvh::TileIndex> build_index(std::span<const Vec3> positions,
+                                                       std::uint32_t leaf_size) {
   std::vector<Aabb> boxes(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    boxes[i] = Aabb::cube(positions[i], width);
+    boxes[i] = Aabb{positions[i], positions[i]};
   }
   auto index = std::make_shared<TiledBvh::TileIndex>();
   index->bvh.build(boxes, BvhBuildOptions{.leaf_size = leaf_size});
@@ -36,12 +32,11 @@ std::shared_ptr<const TiledBvh::TileIndex> build_index(
 
 }  // namespace
 
-const TiledBvh::TileIndex& TiledBvh::Tile::ensure_index(
-    float aabb_width, std::uint32_t leaf_size) const {
+const TiledBvh::TileIndex& TiledBvh::Tile::ensure_index(std::uint32_t leaf_size) const {
   if (const TileIndex* built = index_.load(std::memory_order_acquire)) return *built;
   std::lock_guard<std::mutex> lock(build_mutex_);
   if (const TileIndex* built = index_.load(std::memory_order_relaxed)) return *built;
-  storage_ = build_index(positions_, aabb_width, leaf_size);
+  storage_ = build_index(positions_, leaf_size);
   index_.store(storage_.get(), std::memory_order_release);
   return *storage_;
 }
@@ -54,7 +49,7 @@ std::shared_ptr<TiledBvh::Tile> TiledBvh::make_tile(
   for (std::size_t i = 0; i < tile->prim_ids_.size(); ++i) {
     tile->positions_[i] = points[tile->prim_ids_[i]];
   }
-  tile->bounds_ = member_bounds(tile->positions_, width_);
+  tile->bounds_ = point_bounds(tile->positions_);
   return tile;
 }
 
@@ -66,13 +61,11 @@ void TiledBvh::rebuild_top() {
   top_.build(tile_boxes, BvhBuildOptions{.leaf_size = 1});
 }
 
-void TiledBvh::build(std::span<const Vec3> points, float aabb_width,
+void TiledBvh::build(std::span<const Vec3> points,
                      std::span<const std::vector<std::uint32_t>> tile_ids,
                      const TiledBuildOptions& options) {
   RTNN_CHECK(!points.empty(), "cannot build a tiled index over an empty cloud");
-  RTNN_CHECK(aabb_width > 0.0f, "AABB width must be positive");
   RTNN_CHECK(!tile_ids.empty(), "a tiled build needs at least one tile");
-  width_ = aabb_width;
   leaf_size_ = std::max<std::uint32_t>(1, options.leaf_size);
   point_count_ = points.size();
 
@@ -91,7 +84,7 @@ void TiledBvh::build(std::span<const Vec3> points, float aabb_width,
 void TiledBvh::ensure_all_built() const {
   parallel_for(
       0, static_cast<std::int64_t>(tiles_.size()),
-      [&](std::int64_t t) { tiles_[t]->ensure_index(width_, leaf_size_); },
+      [&](std::int64_t t) { tiles_[t]->ensure_index(leaf_size_); },
       grain::kTask);
 }
 
@@ -103,7 +96,7 @@ std::uint32_t TiledBvh::built_tile_count() const {
   return built;
 }
 
-TiledUpdateStats TiledBvh::update(std::span<const Vec3> points,
+TiledUpdateStats TiledBvh::update(std::span<const Vec3> points, float sah_half_width,
                                   const TileUpdatePolicy& policy) {
   RTNN_CHECK(points.size() == point_count_,
              "tiled update requires the same point count as the build");
@@ -130,19 +123,19 @@ TiledUpdateStats TiledBvh::update(std::span<const Vec3> points,
     // Replace, never mutate: snapshots sharing the old tile keep it.
     auto fresh = make_tile(points, old_tile.prim_ids_);
     if (const TileIndex* old_index = old_tile.index()) {
-      if (policy(old_index->bvh.sah_inflation()) == TileUpdate::kRefit) {
+      if (policy(old_index->bvh.sah_inflation(sah_half_width)) == TileUpdate::kRefit) {
         Timer timer;
         // Copy-then-refit: the shared old index stays frozen for earlier
         // snapshots while the copy absorbs the motion.
         auto refitted = std::make_shared<TileIndex>(*old_index);
-        refitted->bvh.refit(fresh->positions_, width_);
+        refitted->bvh.refit(fresh->positions_);
         refitted->wide.refit_from(refitted->bvh);
         fresh->publish(std::move(refitted));
         out.refit_seconds += timer.elapsed();
         ++out.tile_refits;
       } else {
         Timer timer;
-        fresh->publish(build_index(fresh->positions_, width_, leaf_size_));
+        fresh->publish(build_index(fresh->positions_, leaf_size_));
         out.build_seconds += timer.elapsed();
         ++out.tile_rebuilds;
       }
@@ -174,11 +167,11 @@ TiledBvhStats TiledBvh::stats(bool compressed) const {
   return out;
 }
 
-double TiledBvh::max_sah_inflation() const {
+double TiledBvh::max_sah_inflation(float half_width) const {
   double worst = 1.0;
   for (const auto& tile : tiles_) {
     if (const TileIndex* index = tile->index()) {
-      worst = std::max(worst, index->bvh.sah_inflation());
+      worst = std::max(worst, index->bvh.sah_inflation(half_width));
     }
   }
   return worst;
@@ -202,8 +195,8 @@ void TiledBvh::validate() const {
       RTNN_CHECK(!seen[id], "point id appears in more than one tile");
       seen[id] = true;
       ++members;
-      RTNN_CHECK(tile->bounds_.contains(Aabb::cube(tile->positions_[i], width_)),
-                 "tile bounds do not contain a member AABB");
+      RTNN_CHECK(tile->bounds_.contains(tile->positions_[i]),
+                 "tile bounds do not contain a member point");
     }
     if (const TileIndex* index = tile->index()) {
       RTNN_CHECK(index->bvh.prim_count() == tile->prim_ids_.size(),

@@ -13,13 +13,16 @@
 //   * a small top-level binary BVH over the tight tile AABBs culls whole
 //     tiles before a ray ever touches a bottom-level node.
 //
+// Tiles are built over the bare points; launches grow every box by their
+// AABB half-width (traversal.hpp).
+//
 // Traversal (rt::trace over a TiledBvh, traversal.hpp) walks the top tree
 // and runs the ordinary wide/compressed BLAS walk inside each intersected
 // tile, remapping tile-local primitive ids back to the caller's global
 // ids. Candidate sets match the monolithic path: a tile's bounds contain
-// every member AABB, so top-level culling can only skip tiles the ray
-// provably misses — the same conservative argument as any interior BVH
-// node.
+// every member point, and the launch grows tile and member boxes alike, so
+// top-level culling can only skip tiles the ray provably misses — the same
+// conservative argument as any interior BVH node.
 //
 // Update (update()) is where the two-level shape pays off: each tile
 // bitwise-compares its members' positions, and only *touched* tiles do any
@@ -99,7 +102,7 @@ struct TiledBvhStats {
 class TiledBvh {
  public:
   /// One tile's bottom-level index: the same pair every monolithic accel
-  /// holds, built over the tile's member AABBs in member order (local
+  /// holds, built over the tile's member points in member order (local
   /// prim id i = slot i of the tile's id list).
   struct TileIndex {
     Bvh bvh;
@@ -108,7 +111,7 @@ class TiledBvh {
 
   /// One spatial tile: its member point ids (global, fixed at build; the
   /// Morton-contiguous run the planner assigned), their current
-  /// positions, tight bounds over the member AABBs, and the lazily built
+  /// positions, tight bounds over the member points, and the lazily built
   /// bottom-level index.
   class Tile {
    public:
@@ -125,7 +128,7 @@ class TiledBvh {
     /// Safe to call concurrently from traversal threads sharing a
     /// snapshot: one caller builds under the tile mutex, the rest reuse
     /// the published pointer.
-    const TileIndex& ensure_index(float aabb_width, std::uint32_t leaf_size) const;
+    const TileIndex& ensure_index(std::uint32_t leaf_size) const;
 
    private:
     friend class TiledBvh;
@@ -147,12 +150,11 @@ class TiledBvh {
   TiledBvh() = default;
 
   /// Builds the two-level index: `tile_ids[t]` lists the global ids of
-  /// tile t's points (a partition of [0, points.size())), every point
-  /// boxed as Aabb::cube(position, aabb_width) exactly like the
-  /// monolithic build. Empty tiles are dropped. With lazy_build the
-  /// bottom-level indexes wait for their first ray; bounds are always
-  /// computed eagerly (routing and top-level culling need them).
-  void build(std::span<const Vec3> points, float aabb_width,
+  /// tile t's points (a partition of [0, points.size())). Empty tiles are
+  /// dropped. With lazy_build the bottom-level indexes wait for their
+  /// first ray; bounds are always computed eagerly (routing and top-level
+  /// culling need them).
+  void build(std::span<const Vec3> points,
              std::span<const std::vector<std::uint32_t>> tile_ids,
              const TiledBuildOptions& options = {});
 
@@ -161,16 +163,16 @@ class TiledBvh {
   /// positions; untouched tiles are kept (still shared with any earlier
   /// copy), touched tiles are *replaced* with a fresh tile whose index is
   /// refit or rebuilt per `policy` — or left unbuilt when it was unbuilt,
-  /// the lazy index absorbing motion for free. The top-level tree is
-  /// rebuilt over the re-tightened bounds (tile_count primitives — noise
-  /// next to one BLAS).
-  TiledUpdateStats update(std::span<const Vec3> points, const TileUpdatePolicy& policy);
+  /// the lazy index absorbing motion for free; the policy sees each tile's
+  /// inflation at `sah_half_width`. The top-level tree is rebuilt over the
+  /// re-tightened bounds (tile_count primitives — noise next to one BLAS).
+  TiledUpdateStats update(std::span<const Vec3> points, float sah_half_width,
+                          const TileUpdatePolicy& policy);
 
   bool empty() const { return tiles_.empty(); }
   std::uint32_t tile_count() const { return static_cast<std::uint32_t>(tiles_.size()); }
   std::uint32_t built_tile_count() const;
   std::size_t prim_count() const { return point_count_; }
-  float aabb_width() const { return width_; }
   std::uint32_t leaf_size() const { return leaf_size_; }
 
   /// The top-level binary BVH: primitive t is tile t (top().prim_order()
@@ -186,13 +188,13 @@ class TiledBvh {
   /// Footprint of the built tiles in the selected node layout.
   TiledBvhStats stats(bool compressed) const;
 
-  /// Worst observed per-tile SAH inflation (1.0 when every built tile is
-  /// fresh) — the quality signal the per-tile policy reacts to, surfaced
-  /// for reports.
-  double max_sah_inflation() const;
+  /// Worst observed per-tile SAH inflation at `half_width` (1.0 when every
+  /// built tile is fresh) — the quality signal the per-tile policy reacts
+  /// to, surfaced for reports.
+  double max_sah_inflation(float half_width) const;
 
   /// Structural invariants (tests): tiles partition the ids, bounds
-  /// contain the member AABBs, built tiles' indexes validate, and the top
+  /// contain the member points, built tiles' indexes validate, and the top
   /// tree references each tile exactly once. Throws rtnn::Error.
   void validate() const;
 
@@ -203,7 +205,6 @@ class TiledBvh {
 
   std::vector<std::shared_ptr<Tile>> tiles_;
   Bvh top_;
-  float width_ = 0.0f;
   std::uint32_t leaf_size_ = 1;
   std::size_t point_count_ = 0;
 };

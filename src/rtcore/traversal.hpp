@@ -24,6 +24,12 @@
 //    model always walks the binary BVH so its step/cache/occupancy
 //    figures stay bit-identical to the hardware characterization.
 //
+// Every walk tests each node and primitive box grown by the launch's AABB
+// half-width h (TraceConfig::aabb_half_width) as [fl(lo - h), fl(hi + h)].
+// FP32 rounding is monotone, so over a bare-point tree these are bitwise
+// the bounds the same tree holds after a refit to Aabb::cube(p, 2h); h = 0
+// tests the stored boxes as they are.
+//
 // Stats are accumulated in per-worker slots (StatsAccumulator) and summed
 // once per launch — no locks on the hot path.
 //
@@ -81,6 +87,8 @@ struct TraceConfig {
   /// changes. Off by default at this layer — the rt:: API stays explicit,
   /// and the production default lives in ox::LaunchOptions.
   bool use_compressed = false;
+  /// Half the AABB width the launch searches at (see the file comment).
+  float aabb_half_width = 0.0f;
 };
 
 /// Software prefetch for the traversal inner loop: read-intent, keep in
@@ -124,7 +132,7 @@ struct LaneState {
 };
 
 template <typename Program>
-TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
+TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray, float h,
                          std::uint32_t ray_id, Program& program, LaunchStats* stats,
                          MemoryHierarchy* mem) {
   const auto prim_order = bvh.prim_order();
@@ -133,7 +141,7 @@ TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
     const std::uint32_t prim = prim_order[s];
     if (mem) mem->access(kPrimRegionBase + prim * kPrimStride);
     if (stats) ++stats->aabb_tests;
-    if (!ray_intersects_aabb(ray, prim_aabbs[prim])) continue;
+    if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(h))) continue;
     if (stats) ++stats->is_calls;
     if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
       return TraceAction::kTerminate;
@@ -144,8 +152,8 @@ TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
 
 /// Classic single-ray stack traversal.
 template <typename Program>
-void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& program,
-               LaunchStats* stats) {
+void trace_one(const Bvh& bvh, const Ray& ray, float h, std::uint32_t ray_id,
+               Program& program, LaunchStats* stats) {
   if (bvh.empty()) return;
   std::uint32_t stack[kMaxStackDepth];
   std::uint32_t sp = 0;
@@ -157,9 +165,9 @@ void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& pr
       ++stats->node_visits;
       ++stats->aabb_tests;
     }
-    if (!ray_intersects_aabb(ray, node.bounds)) continue;
+    if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
     if (node.is_leaf()) {
-      if (process_leaf(bvh, node, ray, ray_id, program, stats, nullptr) ==
+      if (process_leaf(bvh, node, ray, h, ray_id, program, stats, nullptr) ==
           TraceAction::kTerminate) {
         if (stats) ++stats->terminated_rays;
         return;
@@ -172,19 +180,27 @@ void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& pr
   }
 }
 
-/// Tests `ray` against all eight child slots of `node` in one step and
-/// returns the bitmask of intersected slots (bit i = slot i). Must agree
-/// bit-for-bit with ray_intersects_aabb on every slot box; empty slots may
-/// report spurious hits and are masked off by the caller via valid_mask().
-/// `inv_dir` is the precomputed 1/dir (±inf for zero components), hoisted
-/// out of the per-node loop.
+/// Tests `ray` against all eight child slots of `node`, grown by `h`, in
+/// one step and returns the bitmask of intersected slots (bit i = slot i).
+/// Must agree bit-for-bit with ray_intersects_aabb on every grown slot box;
+/// empty slots may report spurious hits and are masked off by the caller
+/// via valid_mask(). `inv_dir` is the precomputed 1/dir (±inf for zero
+/// components), hoisted out of the per-node loop.
 #ifdef RTNN_HAVE_AVX2
 /// The 8-lane box test shared by both node layouts: lane i of each input
-/// register holds child i's coordinate. Decision-identical to
+/// register holds child i's coordinate, grown by `h` with the single
+/// subtract/add Aabb::expanded() rounds. Decision-identical to
 /// ray_intersects_aabb per lane, including NaN semantics.
 inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
                                    __m256 maxx, __m256 maxy, __m256 maxz,
-                                   const Ray& ray, const Vec3& inv_dir) {
+                                   const Ray& ray, const Vec3& inv_dir, float h) {
+  const __m256 hv = _mm256_set1_ps(h);
+  minx = _mm256_sub_ps(minx, hv);
+  miny = _mm256_sub_ps(miny, hv);
+  minz = _mm256_sub_ps(minz, hv);
+  maxx = _mm256_add_ps(maxx, hv);
+  maxy = _mm256_add_ps(maxy, hv);
+  maxz = _mm256_add_ps(maxz, hv);
   const __m256 ox = _mm256_set1_ps(ray.origin.x);
   const __m256 oy = _mm256_set1_ps(ray.origin.y);
   const __m256 oz = _mm256_set1_ps(ray.origin.z);
@@ -222,11 +238,11 @@ inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
 }
 
 inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
-                                    const Vec3& inv_dir) {
+                                    const Vec3& inv_dir, float h) {
   return simd_box_hits(_mm256_load_ps(node.minx), _mm256_load_ps(node.miny),
                        _mm256_load_ps(node.minz), _mm256_load_ps(node.maxx),
                        _mm256_load_ps(node.maxy), _mm256_load_ps(node.maxz),
-                       ray, inv_dir);
+                       ray, inv_dir, h);
 }
 
 /// Same contract against the quantized layout: dequantize the eight child
@@ -239,7 +255,7 @@ inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
 /// alone does not license it, and contracting mul+add would change the
 /// rounding against the scalar decoder.
 inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir) {
+                                          const Vec3& inv_dir, float h) {
   const auto dq = [](const std::uint8_t* q, __m256 anchor, __m256 scale) {
     const __m128i bytes =
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
@@ -255,25 +271,27 @@ inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const 
   return simd_box_hits(dq(node.qlox, ax, sx), dq(node.qloy, ay, sy),
                        dq(node.qloz, az, sz), dq(node.qhix, ax, sx),
                        dq(node.qhiy, ay, sy), dq(node.qhiz, az, sz),
-                       ray, inv_dir);
+                       ray, inv_dir, h);
 }
 #else
 inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
-                                    const Vec3& inv_dir) {
+                                    const Vec3& inv_dir, float h) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
     const Aabb box{{node.minx[i], node.miny[i], node.minz[i]},
                    {node.maxx[i], node.maxy[i], node.maxz[i]}};
-    if (ray_intersects_aabb(ray, box, inv_dir)) mask |= 1u << i;
+    if (ray_intersects_aabb(ray, box.expanded(h), inv_dir)) mask |= 1u << i;
   }
   return mask;
 }
 
 inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir) {
+                                          const Vec3& inv_dir, float h) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    if (ray_intersects_aabb(ray, dequantize_slot(node, i), inv_dir)) mask |= 1u << i;
+    if (ray_intersects_aabb(ray, dequantize_slot(node, i).expanded(h), inv_dir)) {
+      mask |= 1u << i;
+    }
   }
   return mask;
 }
@@ -298,7 +316,7 @@ inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const 
 /// region (kTileRegionStride slice) when this walk runs as a BLAS under
 /// the two-level traversal, so distinct tiles' arrays never alias.
 template <typename Program>
-void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
+void trace_one_wide(const WideBvh& bvh, const Ray& ray, float h, std::uint32_t ray_id,
                     Program& program, LaunchStats* stats, std::uint32_t* stack,
                     MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
   const auto nodes = bvh.nodes();
@@ -320,7 +338,7 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
       ++stats->node_visits;
       stats->aabb_tests += node.count;
     }
-    std::uint32_t mask = wide_node_hits(node, ray, inv_dir) & node.valid_mask();
+    std::uint32_t mask = wide_node_hits(node, ray, inv_dir, h) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
     while (mask != 0) {
@@ -340,7 +358,7 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
                                 sizeof(Aabb));
             }
             if (stats) ++stats->aabb_tests;
-            if (!ray_intersects_aabb(ray, prim_aabbs[prim], inv_dir)) continue;
+            if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(h), inv_dir)) continue;
           }
           if (stats) ++stats->is_calls;
           if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
@@ -370,8 +388,9 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
 /// (ordered_prim_aabbs), so the extra fetches stream contiguously in
 /// traversal order instead of gathering through prim_order.
 template <typename Program>
-void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
-                          Program& program, LaunchStats* stats, std::uint32_t* stack,
+void trace_one_compressed(const WideBvh& bvh, const Ray& ray, float h,
+                          std::uint32_t ray_id, Program& program, LaunchStats* stats,
+                          std::uint32_t* stack,
                           MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
   const auto nodes = bvh.compressed_nodes();
   const auto leaves = bvh.leaves();
@@ -392,7 +411,7 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
       ++stats->node_visits;
       stats->aabb_tests += node.count;
     }
-    std::uint32_t mask = compressed_node_hits(node, ray, inv_dir) & node.valid_mask();
+    std::uint32_t mask = compressed_node_hits(node, ray, inv_dir, h) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
     while (mask != 0) {
@@ -407,7 +426,9 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
                               sizeof(Aabb));
           }
           if (stats) ++stats->aabb_tests;
-          if (!ray_intersects_aabb(ray, ordered_prim_aabbs[s], inv_dir)) continue;
+          if (!ray_intersects_aabb(ray, ordered_prim_aabbs[s].expanded(h), inv_dir)) {
+            continue;
+          }
           if (stats) ++stats->is_calls;
           if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
             if (stats) ++stats->terminated_rays;
@@ -452,7 +473,7 @@ struct TileProgram {
 /// set. `wide_stack` is the caller's kWideStackDepth scratch reused by
 /// every BLAS walk (tiles traverse one at a time).
 template <typename Program>
-void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
+void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, float h, std::uint32_t ray_id,
                      Program& program, LaunchStats* stats, std::uint32_t* wide_stack,
                      bool use_compressed, MemoryHierarchy* mem = nullptr) {
   const Bvh& top = tlas.top();
@@ -471,20 +492,19 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
       ++stats->node_visits;
       ++stats->aabb_tests;
     }
-    if (!ray_intersects_aabb(ray, node.bounds)) continue;
+    if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
     if (node.is_leaf()) {
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
         const std::uint32_t t = tile_order[s];
         const TiledBvh::Tile& tile = tlas.tile(t);
-        const TiledBvh::TileIndex& index =
-            tile.ensure_index(tlas.aabb_width(), tlas.leaf_size());
+        const TiledBvh::TileIndex& index = tile.ensure_index(tlas.leaf_size());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
         const std::uint64_t tile_base = std::uint64_t{t} * kTileRegionStride;
         if (use_compressed) {
-          trace_one_compressed(index.wide, ray, ray_id, tp, stats, wide_stack, mem,
+          trace_one_compressed(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
                                tile_base);
         } else {
-          trace_one_wide(index.wide, ray, ray_id, tp, stats, wide_stack, mem,
+          trace_one_wide(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
                          tile_base);
         }
         if (tp.terminated) return;
@@ -499,7 +519,7 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
 
 /// Lockstep traversal of one warp of (up to 32) rays.
 template <typename Program>
-void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_ray,
+void trace_warp(const Bvh& bvh, std::span<const Ray> rays, float h, std::uint32_t first_ray,
                 std::uint32_t lane_count, Program& program, LaunchStats& stats,
                 MemoryHierarchy* mem) {
   LaneState lanes[kWarpSize];
@@ -544,9 +564,9 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
         ++stats.node_visits;
         ++stats.aabb_tests;
         const Ray& ray = rays[lane.ray_id];
-        if (!ray_intersects_aabb(ray, node.bounds)) continue;
+        if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
         if (node.is_leaf()) {
-          if (process_leaf(bvh, node, ray, lane.ray_id, program, &stats, mem) ==
+          if (process_leaf(bvh, node, ray, h, lane.ray_id, program, &stats, mem) ==
               TraceAction::kTerminate) {
             lane.terminated = true;
             ++stats.terminated_rays;
@@ -561,6 +581,54 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
   }
 }
 
+/// The counters of a launch against an empty index: every ray, no work.
+inline LaunchStats untraced(std::span<const Ray> rays) {
+  LaunchStats stats;
+  stats.rays = rays.size();
+  return stats;
+}
+
+/// The launch loop every walk shares: `items` work items (rays, or warps
+/// for the lockstep model) are split into chunks, spread across threads
+/// unless config.parallel is off; ray chunks inherit the caller's Morton
+/// ordering, so consecutive rays walk overlapping subtrees. Each chunk
+/// bumps a stack-local LaunchStats (handed to `body` as null when
+/// `collect` is off), owns its cache hierarchy when config.simulate_caches
+/// is on, and reuses one traversal stack; counters fold into a per-worker
+/// slot once per chunk. `body(item, stats, stack, mem)` runs one item.
+template <typename Body>
+LaunchStats run_launch(std::span<const Ray> rays, std::int64_t items, std::int64_t grain,
+                       const TraceConfig& config, bool collect, Body&& body) {
+  LaunchStats total = untraced(rays);
+  // Lazily sized so stats-off launches (pure wall-clock runs, often many
+  // tiny per-partition launches) skip the slot allocation entirely. Cache
+  // stats travel inside LaunchStats, so simulation forces collection.
+  std::optional<StatsAccumulator> accumulator;
+  if (collect || config.simulate_caches) accumulator.emplace();
+  auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
+    LaunchStats local;
+    std::optional<MemoryHierarchy> mem;
+    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
+    std::uint32_t stack[kWideStackDepth];
+    for (std::int64_t i = lo; i < hi; ++i) {
+      body(static_cast<std::uint32_t>(i), collect ? &local : nullptr, stack,
+           mem ? &*mem : nullptr);
+    }
+    if (mem) {
+      local.l1 = mem->l1_stats();
+      local.l2 = mem->l2_stats();
+    }
+    if (accumulator) accumulator->local() += local;
+  };
+  if (config.parallel) {
+    parallel_for_chunks(0, items, run_chunk, grain);
+  } else {
+    run_chunk(0, items);
+  }
+  if (accumulator) total += accumulator->reduce();
+  return total;
+}
+
 }  // namespace detail
 
 /// Launches `rays` against `bvh`, invoking `program.intersect(ray_id,
@@ -570,72 +638,33 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
 template <typename Program>
 LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || bvh.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  // Lazily sized so stats-off launches (pure wall-clock runs, often many
-  // tiny per-partition launches) skip the slot allocation entirely.
-  std::optional<StatsAccumulator> accumulator;
-
+  if (rays.empty() || bvh.empty()) return detail::untraced(rays);
+  const float h = config.aabb_half_width;
   if (config.model == ExecutionModel::kIndependent) {
     RTNN_CHECK(!config.simulate_caches,
                "cache simulation requires the warp-lockstep execution model");
-    if (config.collect_stats) accumulator.emplace();
-    auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-      // Counters bump a stack-local struct through the chunk and fold into
-      // the worker's slot once — no heap writes on the per-node path.
-      LaunchStats local;
-      LaunchStats* stats = accumulator ? &local : nullptr;
-      for (std::int64_t i = lo; i < hi; ++i) {
-        detail::trace_one(bvh, rays[static_cast<std::size_t>(i)],
-                          static_cast<std::uint32_t>(i), program, stats);
-      }
-      if (accumulator) accumulator->local() += local;
-    };
-    if (config.parallel) {
-      parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-    } else {
-      run_chunk(0, n);
-    }
-    if (accumulator) total += accumulator->reduce();
-    return total;
+    return detail::run_launch(
+        rays, rays.size(), grain::kTrace, config, config.collect_stats,
+        [&](std::uint32_t i, LaunchStats* stats, std::uint32_t*, MemoryHierarchy*) {
+          detail::trace_one(bvh, rays[i], h, i, program, stats);
+        });
   }
 
   // Warp-lockstep model (always collects: its counters are the figures).
-  accumulator.emplace();
+  const auto n = static_cast<std::int64_t>(rays.size());
   const std::int64_t n_warps =
       (n + detail::kWarpSize - 1) / static_cast<std::int64_t>(detail::kWarpSize);
-  auto run_warps = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    for (std::int64_t w = lo; w < hi; ++w) {
-      const auto first = static_cast<std::uint32_t>(w * detail::kWarpSize);
-      const auto lanes = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(detail::kWarpSize, n - first));
-      detail::trace_warp(bvh, rays, first, lanes, program, local,
-                         mem ? &*mem : nullptr);
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
-    }
-    accumulator->local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n_warps, run_warps, grain::kWarp);
-  } else {
-    run_warps(0, n_warps);
-  }
-  total += accumulator->reduce();
-  return total;
+  return detail::run_launch(
+      rays, n_warps, grain::kWarp, config, /*collect=*/true,
+      [&](std::uint32_t w, LaunchStats* stats, std::uint32_t*, MemoryHierarchy* mem) {
+        const std::uint32_t first = w * detail::kWarpSize;
+        const auto lanes =
+            static_cast<std::uint32_t>(std::min<std::int64_t>(detail::kWarpSize, n - first));
+        detail::trace_warp(bvh, rays, h, first, lanes, program, *stats, mem);
+      });
 }
 
-/// Wide-BVH overload: the wall-clock independent path. Rays are batched
-/// into Morton-coherent chunks (the caller's ordering is preserved), each
-/// chunk reusing one per-thread traversal stack across all of its rays.
+/// Wide-BVH overload: the wall-clock independent path.
 /// config.use_compressed selects the quantized node layout (identical
 /// candidate sets, ~1/3 the node bytes); config.simulate_caches replays
 /// the selected layout's node/primitive fetches through per-worker cache
@@ -647,46 +676,17 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the wide BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the binary BVH");
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || bvh.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  std::optional<StatsAccumulator> accumulator;
-  // Cache stats travel inside LaunchStats, so simulation forces collection.
-  if (config.collect_stats || config.simulate_caches) accumulator.emplace();
-  auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    LaunchStats* stats = config.collect_stats ? &local : nullptr;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    MemoryHierarchy* mem_ptr = mem ? &*mem : nullptr;
-    // One stack allocation per chunk, reused by every ray in it.
-    std::uint32_t stack[detail::kWideStackDepth];
-    for (std::int64_t i = lo; i < hi; ++i) {
-      if (config.use_compressed) {
-        detail::trace_one_compressed(bvh, rays[static_cast<std::size_t>(i)],
-                                     static_cast<std::uint32_t>(i), program, stats,
-                                     stack, mem_ptr);
-      } else {
-        detail::trace_one_wide(bvh, rays[static_cast<std::size_t>(i)],
-                               static_cast<std::uint32_t>(i), program, stats, stack,
-                               mem_ptr);
-      }
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
-    }
-    if (accumulator) accumulator->local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-  } else {
-    run_chunk(0, n);
-  }
-  if (accumulator) total += accumulator->reduce();
-  return total;
+  if (rays.empty() || bvh.empty()) return detail::untraced(rays);
+  const float h = config.aabb_half_width;
+  return detail::run_launch(
+      rays, rays.size(), grain::kTrace, config, config.collect_stats,
+      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
+        if (config.use_compressed) {
+          detail::trace_one_compressed(bvh, rays[i], h, i, program, stats, stack, mem);
+        } else {
+          detail::trace_one_wide(bvh, rays[i], h, i, program, stats, stack, mem);
+        }
+      });
 }
 
 /// Two-level overload: the TLAS walk over a tiled index. Independent
@@ -700,46 +700,20 @@ LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& prog
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the tiled BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the monolithic binary BVH");
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || tlas.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  std::optional<StatsAccumulator> accumulator;
-  if (config.collect_stats || config.simulate_caches) accumulator.emplace();
-  auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    LaunchStats* stats = config.collect_stats ? &local : nullptr;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    MemoryHierarchy* mem_ptr = mem ? &*mem : nullptr;
-    std::uint32_t stack[detail::kWideStackDepth];
-    for (std::int64_t i = lo; i < hi; ++i) {
-      detail::trace_one_tiled(tlas, rays[static_cast<std::size_t>(i)],
-                              static_cast<std::uint32_t>(i), program, stats, stack,
-                              config.use_compressed, mem_ptr);
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
-    }
-    if (accumulator) accumulator->local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-  } else {
-    run_chunk(0, n);
-  }
-  if (accumulator) total += accumulator->reduce();
-  return total;
+  if (rays.empty() || tlas.empty()) return detail::untraced(rays);
+  return detail::run_launch(
+      rays, rays.size(), grain::kTrace, config, config.collect_stats,
+      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
+        detail::trace_one_tiled(tlas, rays[i], config.aabb_half_width, i, program, stats,
+                                stack, config.use_compressed, mem);
+      });
 }
-
 /// Convenience for tests: trace a single ray with stats.
 template <typename Program>
 LaunchStats trace_ray(const Bvh& bvh, const Ray& ray, Program& program) {
   LaunchStats stats;
   stats.rays = 1;
-  detail::trace_one(bvh, ray, 0, program, &stats);
+  detail::trace_one(bvh, ray, 0.0f, 0, program, &stats);
   return stats;
 }
 

@@ -16,7 +16,7 @@ namespace {
 
 constexpr float kSqrt3 = 1.7320508f;
 
-// Search cost of a set of partitions sharing one BVH of width `width`.
+// Search cost of a set of partitions launched together at `width`.
 double bundle_search_cost(std::span<const std::uint32_t> members, const PartitionSet& set,
                           float width, const SearchParams& params, const CostModel& model) {
   if (params.mode == SearchMode::kKnn) {
@@ -112,7 +112,9 @@ BundlePlan plan_bundles(const PartitionSet& set, std::size_t n_points,
       plan.bundles.push_back(make_bundle(members, set, params));
     }
     const double cost = predict_cost(plan, set, n_points, params, model);
-    if (cost < best_cost) {
+    // Ties go to more bundles: an equal-cost plan that keeps a partition
+    // separate launches it at its own, narrower width.
+    if (cost <= best_cost) {
       best_cost = cost;
       best = std::move(plan);
     }
@@ -127,10 +129,11 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
   RTNN_CHECK(radius > 0.0f, "radius must be positive");
   CostModel model;
 
-  // --- k1: BVH build seconds per AABB ---
+  // --- k1: BVH build seconds per AABB, over the bare points the search
+  // path builds on; the probe launches below grow them to width 2r.
   std::vector<Aabb> aabbs(sample_points.size());
   for (std::size_t i = 0; i < sample_points.size(); ++i) {
-    aabbs[i] = Aabb::cube(sample_points[i], 2.0f * radius);
+    aabbs[i] = Aabb{sample_points[i], sample_points[i]};
   }
   const ox::Context ctx;
   Timer build_timer;
@@ -144,7 +147,7 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
   // the per-frame lifecycle actually uses.
   {
     Timer refit_timer;
-    accel.refit(sample_points, 2.0f * radius);
+    accel.refit(sample_points);
     model.k_refit = refit_timer.elapsed() / static_cast<double>(sample_points.size());
   }
 
@@ -152,6 +155,8 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
   // common workload shape).
   const std::size_t nq = std::min<std::size_t>(sample_points.size(), 100'000);
   const std::span<const Vec3> queries = sample_points.subspan(0, nq);
+  ox::LaunchOptions options;
+  options.aabb_half_width = radius;
 
   // --- k2: KNN IS call (measured through a local probe pipeline) ---
   struct KnnProbe {
@@ -170,7 +175,7 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
     FlatKnnHeaps heaps(nq, k);
     KnnProbe probe{sample_points, queries, radius * radius, &heaps};
     Timer timer;
-    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq));
+    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq), options);
     const double t = timer.elapsed();
     if (stats.is_calls > 0) model.k2 = t / static_cast<double>(stats.is_calls);
   }
@@ -196,7 +201,7 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
     NeighborResult result(nq, k, /*store_indices=*/false);
     RangeProbe probe{sample_points, queries, radius * radius, skip, k, &result};
     Timer timer;
-    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq));
+    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq), options);
     const double t = timer.elapsed();
     if (stats.is_calls > 0) {
       const double per_call = t / static_cast<double>(stats.is_calls);

@@ -1,8 +1,8 @@
 // Analytic cost model and partition bundling (paper section 5.2 + Supp. A/C).
 //
-// Every partition pays one BVH build; bundling partitions saves builds but
-// inflates the merged partition's AABB (and therefore its search work).
-// The model:
+// On RT hardware every partition pays one BVH build; bundling partitions
+// saves builds but inflates the merged partition's AABB (and therefore its
+// search work). The model:
 //
 //   T = Σ_i ( T_build^i + T_search^i )            (eq. 2)
 //   T_build  = k1 · M                             (eq. 3; M = #AABBs, linear — Fig. 15)
@@ -15,10 +15,15 @@
 // profiling, we fall back to the default strategy" (no bundling), which
 // NeighborSearch honors when given an uncalibrated model.
 //
+// The per-bundle build term now models the paper's hardware only: this
+// library's launches share one index, so BundleStage plans with zero AABBs
+// per bundle build (T = Σ T_search) and every partition keeps its width.
+//
 // The optimal bundling (Supp. C theorem): with partitions sorted by query
 // count, the best plan with M_o bundles keeps the (M_o − 1) most-populous
 // partitions separate and merges the rest into one; scanning M_o = 1..M
-// finds the optimum in linear time.
+// finds the optimum in linear time; ties go to the plan with more
+// bundles.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +75,7 @@ struct CostModel {
                              std::uint32_t k);
 };
 
-/// One launch unit after bundling: a set of partitions sharing one BVH.
+/// One launch unit after bundling: a set of partitions sharing one width.
 struct Bundle {
   std::vector<std::uint32_t> partition_indices;
   float aabb_width = 0.0f;      // max over members
@@ -102,7 +107,9 @@ IndexUpdate choose_index_update(const CostModel& model, double sah_inflation);
 /// The default strategy (Listing 3): one bundle per partition.
 BundlePlan unbundled_plan(const PartitionSet& set, const SearchParams& params);
 
-/// Cost-model-optimal bundling via the Supp. C linear scan.
+/// Cost-model-optimal bundling via the Supp. C linear scan. `n_points` is
+/// the AABB count each bundle's build pays for; 0 when bundles share one
+/// index.
 BundlePlan plan_bundles(const PartitionSet& set, std::size_t n_points,
                         const SearchParams& params, const CostModel& model);
 

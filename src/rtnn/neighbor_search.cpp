@@ -1,5 +1,6 @@
 #include "rtnn/neighbor_search.hpp"
 
+#include <cmath>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -34,6 +35,7 @@ NeighborSearch::Report& NeighborSearch::Report::operator+=(const Report& o) {
 }
 
 void NeighborSearch::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "set_points(): point coordinates must be finite");
   points_.assign(points.begin(), points.end());
   grid_valid_ = false;
   index_cache_ = IndexCache{};  // a new upload invalidates the lifecycle
@@ -44,6 +46,7 @@ void NeighborSearch::update_points(std::span<const Vec3> points) {
   RTNN_CHECK(points.size() == points_.size(),
              "update_points() requires the same point count; a resized cloud "
              "is a new set_points() upload");
+  RTNN_CHECK(all_finite(points), "update_points(): point coordinates must be finite");
   std::copy(points.begin(), points.end(), points_.begin());
   grid_valid_ = false;          // megacell grid tracks positions
   index_cache_.moved = true;    // resolved refit-vs-rebuild at next search
@@ -73,7 +76,9 @@ PartitionSet NeighborSearch::partition(std::span<const Vec3> queries,
 void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> queries,
                                   const SearchParams& params) {
   RTNN_CHECK(!points_.empty(), "set_points() before search()");
-  RTNN_CHECK(params.radius > 0.0f, "radius must be positive");
+  RTNN_CHECK(std::isfinite(params.radius) && params.radius > 0.0f,
+             "radius must be finite and positive");
+  RTNN_CHECK(all_finite(queries), "query coordinates must be finite");
   RTNN_CHECK(params.k > 0, "K must be positive");
   RTNN_CHECK(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f,
              "aabb_scale must be in (0, 1]");
@@ -122,16 +127,8 @@ NeighborResult NeighborSearch::run_stages(std::span<const Vec3> queries,
 
 NeighborResult NeighborSearch::search(std::span<const Vec3> queries,
                                       const SearchParams& params, Report* report_out) {
-  SearchParams effective = params;
-  if (tiling_.enabled() && points_.size() > tiling_.tile_threshold) {
-    // Tiling replaces megacell decomposition: both split the same launch
-    // spatially, and partition-local accel builds would discard the tiled
-    // index's per-tile reuse. Scheduling (query ordering) still composes.
-    effective.opts.partitioning = false;
-    effective.opts.bundling = false;
-  }
-  const auto stages = make_pipeline(effective.opts);
-  return run_stages(queries, effective, stages, report_out);
+  const auto stages = make_pipeline(params.opts);
+  return run_stages(queries, params, stages, report_out);
 }
 
 std::vector<NeighborResult> NeighborSearch::search_batched(

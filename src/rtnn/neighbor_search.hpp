@@ -4,12 +4,13 @@
 //
 //   set_points()           — upload points to "device" memory   [Data]
 //   search():
+//     one BVH over the bare points, built on first use          [BVH]
 //     ScheduleStage:  first-hit cast (K=1) + Morton sort        [FS/Opt]
 //     PartitionStage: megacell growth on a uniform grid,
 //                     bucket queries by megacell width          [Opt]
 //     BundleStage:    cost-model scan over partition bundlings  [Opt]
-//     LaunchStage:    per-bundle BVH build (width = bundle AABB
-//                     width) + chunked range/KNN launches       [BVH/Search]
+//     LaunchStage:    chunked range/KNN launches, each at its
+//                     bundle's AABB width                       [Search]
 //
 // search() assembles the stage list from the OptimizationFlags and runs
 // it over a SearchContext (see rtnn/stages.hpp); run_stages() accepts a
@@ -38,21 +39,16 @@ class FlatKnnHeaps;
 class SearchStage;
 struct SearchContext;
 
-/// The persistent base-width accel of a dynamic sequence, owned by
+/// The persistent accel of a dynamic sequence or a served cloud, owned by
 /// NeighborSearch and threaded into each search()'s SearchContext when
-/// index persistence is on. `moved` marks positions changed since the
-/// accel last synced; the refit-vs-rebuild policy resolves it at the next
-/// acquire (see SearchContext::acquire_global_accel in stages.cpp).
+/// index persistence is on. Built over the bare points, it serves every
+/// radius; a new upload or tiling resets it. `moved` marks positions
+/// changed since the accel last synced; the refit-vs-rebuild policy
+/// resolves it at the next acquire (see SearchContext::acquire_global_accel
+/// in stages.cpp).
 struct IndexCache {
   ox::Accel accel;
-  float width = -1.0f;     // AABB width the accel was built at
-  std::size_t count = 0;   // point count it covers
   bool moved = false;
-  /// Whether the cached accel is the two-level (tiled) build product, and
-  /// the tiling it was built under — a change to either invalidates the
-  /// cache like a width change would.
-  bool tiled = false;
-  TileOptions tiling{};
 };
 
 /// One request's rows within a coalesced batch launch: queries
@@ -98,8 +94,7 @@ class NeighborSearch {
     std::uint32_t tile_rebuilds = 0;    // touched tiles the policy rebuilt
     std::uint32_t tile_lazy_builds = 0; // tiles built on first route this call
     // Memory footprint of the traversal index actually launched against
-    // (the selected wide-BVH layout's byte accounting; the largest accel
-    // of the call when partitioning builds several).
+    // (the selected wide-BVH layout's byte accounting).
     std::uint64_t index_node_bytes = 0;   // node array alone
     std::uint64_t index_total_bytes = 0;  // + shared leaf/prim arrays
     /// Aggregation across calls/batches (the serving layer's per-service
@@ -112,20 +107,21 @@ class NeighborSearch {
   NeighborSearch() = default;
 
   /// Uploads the search points (the Data phase). Invalidates prior accels.
+  /// Every coordinate must be finite.
   void set_points(std::span<const Vec3> points);
 
   /// Moves the uploaded points to new positions — one frame of a dynamic
-  /// sequence. Requires set_points() first and an identical count (a
-  /// resized cloud is a new upload, not a move). Enables index
-  /// persistence: the next search() refits or rebuilds the cached
-  /// base-width accel per the cost model's choose_index_update policy
-  /// instead of always rebuilding.
+  /// sequence. Requires set_points() first, an identical count (a
+  /// resized cloud is a new upload, not a move) and finite coordinates.
+  /// Enables index persistence: the next search() refits or rebuilds the
+  /// cached accel per the cost model's choose_index_update policy instead
+  /// of always rebuilding.
   void update_points(std::span<const Vec3> points);
 
-  /// Keeps the base-width accel alive across search() calls so frame
-  /// sequences can refit instead of rebuild. Off by default: one-shot
-  /// searches keep the historical build-per-call semantics (and their
-  /// timing profile). update_points() turns it on implicitly.
+  /// Keeps the accel alive across search() calls so frame sequences can
+  /// refit instead of rebuild, and so calls at any radius reuse it. Off
+  /// by default: one-shot searches keep the build-per-call semantics (and
+  /// their timing profile). update_points() turns it on implicitly.
   void set_index_persistence(bool on);
   bool index_persistence() const { return index_persistence_; }
 
@@ -136,7 +132,7 @@ class NeighborSearch {
   void set_cost_model(const CostModel& model) { cost_model_ = model; }
   const CostModel& cost_model() const { return cost_model_; }
 
-  /// Enables the two-level (tiled) base index (see TileOptions). Takes
+  /// Enables the two-level (tiled) index (see TileOptions). Takes
   /// effect at the next search(); changing the tiling invalidates the
   /// persistent index cache (the decomposition is part of the build).
   /// Incompatible with simt_launches — the warp-lockstep characterization
@@ -194,7 +190,7 @@ class NeighborSearch {
   CostModel cost_model_{};
   mutable GridIndex grid_;    // rebuilt per point set, cached across searches
   mutable bool grid_valid_ = false;
-  IndexCache index_cache_;    // persistent base-width accel (opt-in)
+  IndexCache index_cache_;    // persistent accel (opt-in)
   bool index_persistence_ = false;
   TileOptions tiling_{};      // two-level base index (opt-in)
 };

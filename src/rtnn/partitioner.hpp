@@ -34,7 +34,7 @@ struct Partition {
   std::uint32_t steps = 0;
   /// Megacell width a = (2·steps+1)·cell.
   float megacell_width = 0.0f;
-  /// AABB width used to build this partition's BVH.
+  /// AABB width this partition's launch searches at.
   float aabb_width = 0.0f;
   /// Range search only: the sphere test can be skipped (w·√3/2 ≤ r).
   bool skip_sphere_test = false;

@@ -1,7 +1,6 @@
 #include "rtnn/stages.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -23,74 +22,61 @@ void ensure_grid_built(std::span<const Vec3> points, const SearchParams& params,
   valid = true;
 }
 
-namespace {
-
-std::vector<Aabb> point_cubes(std::span<const Vec3> points, float width) {
-  std::vector<Aabb> aabbs(points.size());
-  parallel_for(0, static_cast<std::int64_t>(points.size()), [&](std::int64_t i) {
-    aabbs[static_cast<std::size_t>(i)] =
-        Aabb::cube(points[static_cast<std::size_t>(i)], width);
-  }, grain::kElementwise);
-  return aabbs;
-}
-
-}  // namespace
-
-ox::Accel SearchContext::build_accel_width(float aabb_width) {
-  // AABB generation is part of the build (Listing 1, buildBVH).
+ox::Accel SearchContext::build_index() {
   Timer timer;
-  const std::vector<Aabb> aabbs = point_cubes(points, aabb_width);
   const ox::Context ctx;
-  ox::Accel accel = ctx.build_accel(aabbs);
-  report.time.bvh += timer.elapsed();
-  return accel;
-}
-
-ox::Accel SearchContext::build_tiled_accel_width(float aabb_width) {
-  Timer timer;
-  // Tile membership: the same Morton-contiguous near-equal split the
-  // sharding planner uses, so each tile is a compact spatial region with
-  // a tight AABB for the top-level tree.
-  const std::uint32_t num_tiles = plan_shard_count(
-      points.size(), tiling.tile_threshold, tiling.max_tiles);
-  ShardPlan plan = plan_shards(points, num_tiles);
-  std::vector<std::vector<std::uint32_t>> tile_ids;
-  tile_ids.reserve(plan.shards.size());
-  for (ShardPlan::Shard& shard : plan.shards) {
-    tile_ids.push_back(std::move(shard.point_ids));
+  ox::Accel accel;
+  if (tiling.enabled() && points.size() > tiling.tile_threshold) {
+    // Tile membership: the same Morton-contiguous near-equal split the
+    // sharding planner uses, so each tile is a compact spatial region with
+    // a tight AABB for the top-level tree.
+    const std::uint32_t num_tiles =
+        plan_shard_count(points.size(), tiling.tile_threshold, tiling.max_tiles);
+    ShardPlan plan = plan_shards(points, num_tiles);
+    std::vector<std::vector<std::uint32_t>> tile_ids;
+    tile_ids.reserve(plan.shards.size());
+    for (ShardPlan::Shard& shard : plan.shards) {
+      tile_ids.push_back(std::move(shard.point_ids));
+    }
+    ox::TiledAccelOptions options;
+    options.lazy_build = tiling.lazy_build;
+    accel = ctx.build_tiled_accel(points, tile_ids, options);
+    report.tile_count = std::max(report.tile_count, accel.tiled_bvh().tile_count());
+  } else {
+    // AABB generation is part of the build (Listing 1, buildBVH): one
+    // zero-extent box per point.
+    std::vector<Aabb> aabbs(points.size());
+    parallel_for(0, static_cast<std::int64_t>(points.size()), [&](std::int64_t i) {
+      const Vec3& p = points[static_cast<std::size_t>(i)];
+      aabbs[static_cast<std::size_t>(i)] = Aabb{p, p};
+    }, grain::kElementwise);
+    accel = ctx.build_accel(aabbs);
   }
-  const ox::Context ctx;
-  ox::TiledAccelOptions options;
-  options.lazy_build = tiling.lazy_build;
-  ox::Accel accel = ctx.build_tiled_accel(points, aabb_width, tile_ids, options);
   report.time.bvh += timer.elapsed();
-  report.tile_count =
-      std::max(report.tile_count, accel.tiled_bvh().tile_count());
   return accel;
+}
+
+ox::LaunchOptions SearchContext::launch_options(float aabb_width) const {
+  ox::LaunchOptions options;
+  options.model = params.simt_launches ? ox::ExecutionModel::kWarpLockstep
+                                       : ox::ExecutionModel::kIndependent;
+  options.use_compressed_bvh = params.use_compressed_bvh;
+  options.aabb_half_width = 0.5f * aabb_width;
+  return options;
 }
 
 void SearchContext::sync_index_cache() {
   IndexCache& cache = *index_cache;
-  const bool want_tiled = tiled_active();
-  const bool reusable =
-      cache.accel.built() && cache.count == points.size() &&
-      cache.width == base_width && cache.tiled == want_tiled &&
-      (!want_tiled ||
-       (cache.tiling.tile_threshold == tiling.tile_threshold &&
-        cache.tiling.max_tiles == tiling.max_tiles &&
-        cache.tiling.lazy_build == tiling.lazy_build));
-  if (!reusable) {
-    // New cloud, new radius, new decomposition, or first use: a fresh
-    // build is the only option (and re-anchors the quality baseline).
-    cache.accel =
-        want_tiled ? build_tiled_accel_width(base_width) : build_accel_width(base_width);
-    cache.width = base_width;
-    cache.count = points.size();
+  // The refit-vs-rebuild policy judges quality at the width this call
+  // searches at (its base width): a bare-point tree's leaves have no area.
+  const float sah_half_width = 0.5f * base_width;
+  if (!cache.accel.built()) {
+    // A new upload, a new tiling, or first use: a fresh build is the only
+    // option (and anchors the quality baseline).
+    cache.accel = build_index();
     cache.moved = false;
-    cache.tiled = want_tiled;
-    cache.tiling = tiling;
   } else if (cache.moved) {
-    if (want_tiled) {
+    if (cache.accel.is_tiled()) {
       // The per-tile form of the refit-vs-rebuild decision: only touched
       // tiles do any work, each judged on its *own* observed quality —
       // a tile under heavy motion rebuilds while its neighbors refit (or
@@ -98,7 +84,7 @@ void SearchContext::sync_index_cache() {
       Timer timer;
       const CostModel* model = cost_model;
       const rt::TiledUpdateStats us =
-          cache.accel.update_tiled(points, [model](double inflation) {
+          cache.accel.update_tiled(points, sah_half_width, [model](double inflation) {
             return choose_index_update(*model, inflation) == IndexUpdate::kRefit
                        ? rt::TileUpdate::kRefit
                        : rt::TileUpdate::kRebuild;
@@ -112,22 +98,22 @@ void SearchContext::sync_index_cache() {
       report.tiles_touched += us.tiles_touched;
       report.tile_refits += us.tile_refits;
       report.tile_rebuilds += us.tile_rebuilds;
-    } else if (choose_index_update(*cost_model, cache.accel.sah_inflation()) ==
+    } else if (choose_index_update(*cost_model, cache.accel.sah_inflation(sah_half_width)) ==
                IndexUpdate::kRefit) {
       // The per-frame decision: refit in place while it is cheaper and
       // the observed quality holds; otherwise pay a build to reset it.
       Timer timer;
-      cache.accel.refit(points, base_width);  // boxes computed in-loop
+      cache.accel.refit(points);  // boxes computed in-loop
       report.time.refit += timer.elapsed();
       ++report.accel_refits;
     } else {
-      cache.accel = build_accel_width(base_width);
+      cache.accel = build_index();
       ++report.accel_rebuilds;
     }
     cache.moved = false;
   }
-  report.sah_inflation = cache.accel.sah_inflation();
-  if (cache.tiled) {
+  report.sah_inflation = cache.accel.sah_inflation(sah_half_width);
+  if (cache.accel.is_tiled()) {
     report.tile_count =
         std::max(report.tile_count, cache.accel.tiled_bvh().tile_count());
   }
@@ -138,10 +124,7 @@ const ox::Accel& SearchContext::acquire_global_accel() {
     sync_index_cache();
     return index_cache->accel;
   }
-  if (!global_accel.built()) {
-    global_accel = tiled_active() ? build_tiled_accel_width(base_width)
-                                  : build_accel_width(base_width);
-  }
+  if (!global_accel.built()) global_accel = build_index();
   return global_accel;
 }
 
@@ -151,9 +134,8 @@ void ScheduleStage::run(SearchContext& ctx) {
   // here, and belong in the same build-on-first-route count.
   const std::uint32_t built_before =
       accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
-  ScheduleResult sched = schedule_queries(accel, ctx.points,
-                                          ctx.queries, ctx.params.simt_launches,
-                                          ctx.params.use_compressed_bvh);
+  ScheduleResult sched = schedule_queries(accel, ctx.points, ctx.queries,
+                                          ctx.launch_options(ctx.base_width));
   if (accel.is_tiled()) {
     ctx.report.tile_lazy_builds += accel.tiled_bvh().built_tile_count() - built_before;
   }
@@ -178,8 +160,11 @@ void BundleStage::run(SearchContext& ctx) {
   Timer timer;
   if (use_cost_model_) {
     RTNN_CHECK(ctx.cost_model != nullptr, "BundleStage needs a cost model");
-    // Paper: absent offline profiling, fall back to Listing 3.
-    ctx.plan = plan_bundles(ctx.partitions, ctx.points.size(), ctx.params, *ctx.cost_model);
+    // Paper: absent offline profiling, fall back to Listing 3. Every
+    // bundle launches against the call's one accel, so no bundle pays a
+    // build: zero AABBs per bundle build leaves the search term alone to
+    // decide, and each partition keeps its own width.
+    ctx.plan = plan_bundles(ctx.partitions, /*n_points=*/0, ctx.params, *ctx.cost_model);
   } else {
     ctx.plan = unbundled_plan(ctx.partitions, ctx.params);
   }
@@ -189,16 +174,13 @@ void BundleStage::run(SearchContext& ctx) {
   ctx.report.time.opt += timer.elapsed();
 }
 
-void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
-                               std::span<const std::uint32_t> ids, bool skip_sphere_test) {
+void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel, const Unit& unit,
+                               std::span<const std::uint32_t> ids) {
   Timer timer;
-  ox::LaunchOptions options;
-  options.model = ctx.params.simt_launches ? ox::ExecutionModel::kWarpLockstep
-                                           : ox::ExecutionModel::kIndependent;
-  options.use_compressed_bvh = ctx.params.use_compressed_bvh;
+  const ox::LaunchOptions options = ctx.launch_options(unit.aabb_width);
   const auto width = static_cast<std::uint32_t>(ids.size());
   if (ctx.params.mode == SearchMode::kRange) {
-    const bool skip_test = skip_sphere_test || ctx.params.elide_sphere_test;
+    const bool skip_test = unit.skip_sphere_test || ctx.params.elide_sphere_test;
     pipelines::RangePipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
                                       ctx.params.k, skip_test, ctx.range_result);
     ctx.report.stats += ox::launch(accel, pipeline, width, options);
@@ -218,7 +200,7 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
   for (const auto& span : unit.id_spans) total += span.size();
 
   if (unit.id_spans.size() == 1 && total <= kChunkSize) {
-    launch_chunk(ctx, accel, unit.id_spans.front(), unit.skip_sphere_test);
+    launch_chunk(ctx, accel, unit, unit.id_spans.front());
     return;
   }
 
@@ -231,12 +213,12 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
       chunk.insert(chunk.end(), span.begin() + offset, span.begin() + offset + take);
       offset += take;
       if (chunk.size() == kChunkSize) {
-        launch_chunk(ctx, accel, chunk, unit.skip_sphere_test);
+        launch_chunk(ctx, accel, unit, chunk);
         chunk.clear();
       }
     }
   }
-  if (!chunk.empty()) launch_chunk(ctx, accel, chunk, unit.skip_sphere_test);
+  if (!chunk.empty()) launch_chunk(ctx, accel, unit, chunk);
 }
 
 void LaunchStage::run(SearchContext& ctx) {
@@ -260,69 +242,55 @@ void LaunchStage::run(SearchContext& ctx) {
     units.reserve(ctx.plan.bundles.size());
     for (const Bundle& bundle : ctx.plan.bundles) {
       Unit unit;
-      unit.aabb_width = bundle.aabb_width;
+      // Approximation: shrink partition widths by aabb_scale too.
+      unit.aabb_width = ctx.scale_launch_widths ? bundle.aabb_width * ctx.params.aabb_scale
+                                                : bundle.aabb_width;
       unit.skip_sphere_test = bundle.skip_sphere_test;
       unit.id_spans.reserve(bundle.partition_indices.size());
       for (const std::uint32_t pi : bundle.partition_indices) {
         const auto& ids = ctx.partitions.partitions[pi].query_ids;
         if (!ids.empty()) unit.id_spans.emplace_back(ids);
       }
-      // Skip empty bundles (caller-supplied plans may contain them)
-      // before paying their O(N) BVH build.
+      // Caller-supplied plans may contain empty bundles.
       if (!unit.id_spans.empty()) units.push_back(std::move(unit));
     }
   } else if (!ctx.order.empty()) {
     // Unpartitioned: one unit over the (possibly scheduled) order, at the
     // naive base width.
     Unit unit;
-    unit.aabb_width = ctx.scale_launch_widths ? 2.0f * ctx.params.radius : ctx.base_width;
+    unit.aabb_width = ctx.base_width;
     unit.skip_sphere_test = false;
     unit.id_spans.emplace_back(ctx.order);
     units.push_back(std::move(unit));
   }
+  if (units.empty()) return;
 
-  for (const Unit& unit : units) {
-    // Approximation: shrink partition widths by aabb_scale too.
-    const float width =
-        ctx.scale_launch_widths ? unit.aabb_width * ctx.params.aabb_scale : unit.aabb_width;
-    // Share the global base-width BVH across every launch unit that needs
-    // exactly it (the unpartitioned path, and the sparse-fallback bundle).
-    const bool is_base = std::abs(width - ctx.base_width) <= 1e-6f * ctx.params.radius;
-    ox::Accel local;
-    const ox::Accel* accel;
-    if (is_base) {
-      accel = &ctx.acquire_global_accel();
-    } else {
-      local = ctx.build_accel_width(width);
-      accel = &local;
-    }
-    const std::uint32_t built_before =
-        accel->is_tiled() ? accel->tiled_bvh().built_tile_count() : 0;
-    launch_unit(ctx, *accel, unit);
-    // Footprint gauge: the byte cost of the node layout these launches
-    // actually traversed (SIMT launches walk the binary tree and report
-    // 0). Taken after the launch so a lazy tiled index reports the tiles
-    // the rays actually forced resident, not the pre-launch zero.
-    if (!ctx.params.simt_launches) {
-      if (accel->is_tiled()) {
-        const rt::TiledBvh& tlas = accel->tiled_bvh();
-        ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
-        const rt::TiledBvhStats ts = tlas.stats(ctx.params.use_compressed_bvh);
-        ctx.report.index_node_bytes =
-            std::max(ctx.report.index_node_bytes, ts.node_bytes);
-        ctx.report.index_total_bytes =
-            std::max(ctx.report.index_total_bytes, ts.total_index_bytes);
-      } else {
-        const rt::WideBvhStats ws = ctx.params.use_compressed_bvh
-                                        ? accel->wide_bvh().compressed_stats()
-                                        : accel->wide_bvh().stats();
-        ctx.report.index_node_bytes =
-            std::max(ctx.report.index_node_bytes, ws.node_bytes);
-        ctx.report.index_total_bytes =
-            std::max(ctx.report.index_total_bytes, ws.total_index_bytes);
-      }
-    }
+  const ox::Accel& accel = ctx.acquire_global_accel();
+  const std::uint32_t built_before =
+      accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
+  for (const Unit& unit : units) launch_unit(ctx, accel, unit);
+  // Footprint gauge: the byte cost of the node layout these launches
+  // actually traversed (SIMT launches walk the binary tree and report 0).
+  // Taken after the launches so a lazy tiled index reports the tiles the
+  // rays actually forced resident, not the pre-launch zero.
+  if (ctx.params.simt_launches) return;
+  std::uint64_t node_bytes = 0;
+  std::uint64_t total_bytes = 0;
+  if (accel.is_tiled()) {
+    const rt::TiledBvh& tlas = accel.tiled_bvh();
+    ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
+    const rt::TiledBvhStats ts = tlas.stats(ctx.params.use_compressed_bvh);
+    node_bytes = ts.node_bytes;
+    total_bytes = ts.total_index_bytes;
+  } else {
+    const rt::WideBvhStats ws = ctx.params.use_compressed_bvh
+                                    ? accel.wide_bvh().compressed_stats()
+                                    : accel.wide_bvh().stats();
+    node_bytes = ws.node_bytes;
+    total_bytes = ws.total_index_bytes;
   }
+  ctx.report.index_node_bytes = std::max(ctx.report.index_node_bytes, node_bytes);
+  ctx.report.index_total_bytes = std::max(ctx.report.index_total_bytes, total_bytes);
 }
 
 namespace {

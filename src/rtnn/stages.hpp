@@ -11,7 +11,11 @@
 //   ScheduleStage   first-hit cast + Morton sort → ctx.order        [FS/Opt]
 //   PartitionStage  megacell growth on the cached grid → partitions [Opt]
 //   BundleStage     cost-model scan (or Listing-3 default) → plan   [Opt]
-//   LaunchStage     per-bundle BVH builds + chunked launches        [BVH/Search]
+//   LaunchStage     chunked launches, each at its unit's width      [Search]
+//
+// One search() builds at most one index (time.bvh): an accel over the bare
+// points that every launch — the first-hit cast and each bundle — grows to
+// its own AABB width (ox::LaunchOptions::aabb_half_width).
 //
 // LaunchStage streams each launch unit's query ids through fixed-size
 // chunks instead of materializing one concatenated id vector per bundle,
@@ -45,25 +49,19 @@ struct SearchContext {
   const CostModel* cost_model = nullptr;
   GridIndex* grid = nullptr;   // owner's cached grid (PartitionStage builds it)
   bool* grid_valid = nullptr;
-  /// Owner's persistent base-width accel (dynamic sequences). When set,
+  /// Owner's persistent accel (dynamic sequences and serving). When set,
   /// acquire_global_accel() serves it — refitting or rebuilding stale
   /// entries per choose_index_update — instead of building a call-local
   /// accel. Null on the static path.
   IndexCache* index_cache = nullptr;
-  /// Two-level base index configuration (NeighborSearch::set_tiling).
-  /// When active for this cloud, the base-width accel is a TLAS over
-  /// spatial tiles instead of one monolithic BVH.
+  /// Two-level index configuration (NeighborSearch::set_tiling). When on
+  /// and the cloud is over its threshold, the accel is a TLAS over spatial
+  /// tiles instead of one monolithic BVH.
   TileOptions tiling{};
-
-  /// Whether this call's base accel is (or will be) tiled: tiling is on
-  /// and the cloud is over the threshold.
-  bool tiled_active() const {
-    return tiling.enabled() && points.size() > tiling.tile_threshold;
-  }
 
   // --- Evolving state ---
   float base_width = 0.0f;           // 2r·aabb_scale, the naive AABB width
-  ox::Accel global_accel;            // base-width BVH, built at most once
+  ox::Accel global_accel;            // the call's accel, built at most once
   std::vector<std::uint32_t> order;  // query-to-ray mapping (starts as iota)
   PartitionSet partitions;
   bool partitioned = false;
@@ -78,26 +76,23 @@ struct SearchContext {
   std::unique_ptr<FlatKnnHeaps> knn_heaps;
   NeighborSearch::Report report;
 
-  /// Builds a BVH over `points` with cubic AABBs of `aabb_width`,
-  /// charging the build to report.time.bvh.
-  ox::Accel build_accel_width(float aabb_width);
-
-  /// Builds the two-level base accel: Morton-contiguous tiles from the
-  /// sharding planner (plan_shards), each owning its own bottom-level
-  /// index, under a top-level BVH. Charged to report.time.bvh like any
-  /// other build; with tiling.lazy_build only the tile bounds and top
-  /// tree are paid here.
-  ox::Accel build_tiled_accel_width(float aabb_width);
-
-  /// The base-width BVH shared by the scheduling pre-pass and the
-  /// unpartitioned launch path. With an index_cache attached this is the
-  /// index-lifecycle entry point: a fresh cloud builds (time.bvh), small
-  /// motion refits in place (time.refit), degraded or resized indexes
-  /// rebuild — per the cost model's choose_index_update policy.
+  /// The accel every launch of this call traverses. With an index_cache
+  /// attached this is the index-lifecycle entry point: a fresh cloud
+  /// builds (time.bvh), small motion refits in place (time.refit),
+  /// degraded indexes rebuild — per the cost model's choose_index_update
+  /// policy, judged at base_width.
   const ox::Accel& acquire_global_accel();
 
+  /// Options for a launch of this call's pipelines at `aabb_width`.
+  ox::LaunchOptions launch_options(float aabb_width) const;
+
  private:
-  /// Brings *index_cache up to date with (points, base_width).
+  /// Builds the accel over the bare points, charging report.time.bvh: one
+  /// BVH, or — when tiling is active — Morton-contiguous tiles from
+  /// plan_shards under a top-level BVH (lazy tiles pay only their bounds).
+  ox::Accel build_index();
+
+  /// Brings *index_cache up to date with the current points.
   void sync_index_cache();
 };
 
@@ -126,7 +121,8 @@ class PartitionStage final : public SearchStage {
 
 /// Section 5.2: partition bundling. Fills ctx.plan from ctx.partitions —
 /// the cost-model linear scan, or the Listing-3 default (one bundle per
-/// partition) when disabled or the model is uncalibrated.
+/// partition) when disabled or the model is uncalibrated. The launches
+/// build no index per bundle, so the scan weighs search cost alone.
 class BundleStage final : public SearchStage {
  public:
   explicit BundleStage(bool use_cost_model = true) : use_cost_model_(use_cost_model) {}
@@ -137,9 +133,9 @@ class BundleStage final : public SearchStage {
   bool use_cost_model_;
 };
 
-/// Executes the plan: allocates result storage, builds each launch unit's
-/// BVH (reusing the global one when widths coincide), and streams the
-/// unit's query ids through chunked ox::launch calls.
+/// Executes the plan: allocates result storage and streams each launch
+/// unit's query ids through chunked ox::launch calls at the unit's AABB
+/// width, all against the call's one accel (acquire_global_accel).
 class LaunchStage final : public SearchStage {
  public:
   /// Queries per launch chunk. Bounds the ray buffer and the id scratch;
@@ -158,8 +154,8 @@ class LaunchStage final : public SearchStage {
   };
 
   void launch_unit(SearchContext& ctx, const ox::Accel& accel, const Unit& unit);
-  void launch_chunk(SearchContext& ctx, const ox::Accel& accel,
-                    std::span<const std::uint32_t> ids, bool skip_sphere_test);
+  void launch_chunk(SearchContext& ctx, const ox::Accel& accel, const Unit& unit,
+                    std::span<const std::uint32_t> ids);
 };
 
 /// The stage list search() runs for the given optimization flags.
@@ -178,8 +174,8 @@ std::vector<std::unique_ptr<SearchStage>> make_pipeline(const OptimizationFlags&
 /// fresh upload + build) and runs the search; per-frame Reports stream the
 /// phase times, the index action taken (accel_refits / accel_rebuilds)
 /// and the observed sah_inflation. Search params are fixed at
-/// construction: a stable radius is what makes the base-width accel
-/// reusable frame over frame.
+/// construction; the refit-vs-rebuild policy judges the index at their
+/// base width.
 class DynamicSearchSession {
  public:
   explicit DynamicSearchSession(const SearchParams& params, const CostModel& model = {});

@@ -20,7 +20,8 @@ struct OptimizationFlags {
   /// Section 4: spatially-ordered query scheduling (first-hit AABB cast +
   /// Morton sort of queries).
   bool scheduling = true;
-  /// Section 5.1: query partitioning via megacells, one BVH per partition.
+  /// Section 5.1: query partitioning via megacells, one launch width per
+  /// partition.
   bool partitioning = true;
   /// Section 5.2: cost-model-driven bundling of partitions. Only
   /// meaningful when partitioning is on.
@@ -32,15 +33,14 @@ struct OptimizationFlags {
   static OptimizationFlags all() { return {true, true, true}; }
 };
 
-/// Two-level (tiled) index configuration: when enabled, the base-width
-/// acceleration structure becomes a TLAS over Morton-contiguous spatial
-/// tiles, each owning its own bottom-level BVH — index updates become
-/// per-tile decisions (a moving vehicle touches a handful of tiles
-/// instead of refitting the monolith) and tiles can build lazily on
-/// first route. Candidate sets are identical to the monolithic index by
-/// construction. Tiling replaces megacell query partitioning when
-/// active: both are spatial decompositions of the same launch, so
-/// search() disables partitioning/bundling rather than stacking them.
+/// Two-level (tiled) index configuration: when enabled, the acceleration
+/// structure becomes a TLAS over Morton-contiguous spatial tiles, each
+/// owning its own bottom-level BVH — index updates become per-tile
+/// decisions (a moving vehicle touches a handful of tiles instead of
+/// refitting the monolith) and tiles can build lazily on first route.
+/// Candidate sets are identical to the monolithic index by construction.
+/// Tiles split the points and megacell partitioning the queries, so the
+/// two compose.
 struct TileOptions {
   /// Points per tile the planner aims for; clouds at or below this stay
   /// monolithic. 0 = tiling off (the default — monolithic semantics and

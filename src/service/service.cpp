@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -114,6 +115,13 @@ std::unique_ptr<engine::SearchBackend> make_cloud_backend(const CloudConfig& con
     }
   }
   return backend;
+}
+
+/// The door-level input contract: every coordinate finite.
+void require_finite(std::span<const Vec3> points, const std::string& what) {
+  if (!all_finite(points)) {
+    throw ServiceError(RejectReason::kInvalid, what + ": coordinates must be finite");
+  }
 }
 
 bool expired(const RequestPtr& request) {
@@ -234,6 +242,7 @@ CloudHandle SearchService::register_cloud(const std::string& name,
     throw ServiceError(RejectReason::kInvalid,
                        "register_cloud('" + name + "'): a cloud needs points");
   }
+  require_finite(points, "register_cloud('" + name + "')");
   RTNN_CHECK(!stopped_.load(), "service is shut down");
   {
     // Early duplicate check so a losing caller fails before paying for
@@ -479,6 +488,10 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
                                                const SearchParams& params,
                                                const RequestOptions& options) {
   RTNN_CHECK(!queries.empty(), "a request needs queries");
+  require_finite(queries, "submit");
+  if (!(std::isfinite(params.radius) && params.radius > 0.0f)) {
+    throw ServiceError(RejectReason::kInvalid, "submit: radius must be finite and positive");
+  }
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
                                           "service is shut down");
   if (cloud->dropped.load()) {
@@ -603,6 +616,7 @@ void SearchService::update_points(const CloudHandle& cloud,
     throw ServiceError(RejectReason::kInvalid,
                        "update_points: an update needs points");
   }
+  require_finite(points, "update_points");
   const CloudPtr state = resolve(cloud);
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
                                           "service is shut down");

@@ -79,12 +79,12 @@
 //               |                      | shutdown drain still *serves*
 //               |                      | requests admitted in time.
 //   kInvalid    | register_cloud(),    | Malformed input refused at the
-//               | update_points()      | door: an empty point cloud (a
-//               |                      | cloud with no points has no
-//               |                      | bounds to index or route by —
-//               |                      | drop_cloud() is the way to
-//               |                      | retire one). Nothing was
-//               |                      | registered or modified.
+//               | update_points(),     | door: an empty point cloud
+//               | submit(), query()    | (drop_cloud() retires one),
+//               |                      | NaN/Inf coordinates, or a
+//               |                      | radius not finite and > 0.
+//               |                      | Nothing was registered,
+//               |                      | modified or queued.
 //
 // Never silent: every admitted ticket is eventually signaled — served,
 // or rejected with one of the reasons above — even across a watchdog
@@ -168,7 +168,7 @@ enum class RejectReason : std::uint8_t {
   kAdmission,  // shed at submit() by the token bucket / queue-depth cap
   kShutdown,   // service shut down or cloud dropped before serving
   kDeadline,   // the request's deadline expired before its launch started
-  kInvalid,    // malformed registration/update (e.g. an empty point cloud)
+  kInvalid,    // malformed input: an empty cloud, non-finite coordinates or radius
 };
 
 /// What Ticket::get()/try_get() (and refused submits) throw. Derives

@@ -87,6 +87,27 @@ TEST(CostModel, CheapBuildsKeepPartitionsSeparate) {
   EXPECT_EQ(plan.bundles.size(), set.partitions.size());
 }
 
+TEST(CostModel, ZeroBuildsKeepEveryPartitionAtItsOwnWidth) {
+  // The search pipeline plans with zero AABBs per bundle build (one index
+  // serves every width). Range cost does not grow with width unless the
+  // sphere-test fast path is lost, so merges can tie; a tie must keep the
+  // partitions apart, each launching at its own width.
+  SearchParams params;
+  params.mode = SearchMode::kRange;
+  params.radius = 0.1f;
+  params.k = 8;
+  const auto set = synthetic_partitions({{0.1f, 1000}, {0.2f, 100}, {0.4f, 10}}, 8);
+  CostModel model;
+  model.calibrated = true;
+  const auto plan = plan_bundles(set, /*n_points=*/0, params, model);
+  ASSERT_EQ(plan.bundles.size(), set.partitions.size());
+  for (const Bundle& bundle : plan.bundles) {
+    ASSERT_EQ(bundle.partition_indices.size(), 1u);
+    EXPECT_FLOAT_EQ(bundle.aabb_width,
+                    set.partitions[bundle.partition_indices[0]].aabb_width);
+  }
+}
+
 TEST(CostModel, PlanIsOptimalAmongTheoremFamily) {
   // plan_bundles must pick the minimum-cost member of the theorem family
   // {merge the (M - Mo + 1) least-populous partitions}, for every Mo.

@@ -14,7 +14,9 @@
 
 #include "core/rng.hpp"
 #include "engine/engine.hpp"
+#include "rtcore/traversal.hpp"
 #include "rtnn/batch_optimizer.hpp"
+#include "rtnn/sharding.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
 
@@ -187,6 +189,34 @@ std::uint32_t max_range_count(engine::SearchBackend& reference,
   return max_count;
 }
 
+/// Records, per ray, the primitives the IS stage sees in call order.
+struct CandidateLog {
+  std::vector<std::vector<std::uint32_t>> calls;
+  explicit CandidateLog(std::size_t rays) : calls(rays) {}
+  rt::TraceAction intersect(std::uint32_t ray, std::uint32_t prim) {
+    calls[ray].push_back(prim);
+    return rt::TraceAction::kContinue;
+  }
+  /// The candidate sets, order-free (the tiled walk visits tiles in its
+  /// own order).
+  std::vector<std::vector<std::uint32_t>> sets() const {
+    std::vector<std::vector<std::uint32_t>> out = calls;
+    for (auto& row : out) std::sort(row.begin(), row.end());
+    return out;
+  }
+};
+
+/// Traces `rays` through `index` under `config`; returns the candidate log
+/// and the launch counters.
+template <typename Index>
+std::pair<CandidateLog, rt::LaunchStats> trace_log(const Index& index,
+                                                   std::span<const Ray> rays,
+                                                   const rt::TraceConfig& config) {
+  CandidateLog log(rays.size());
+  const rt::LaunchStats stats = rt::trace(index, rays, log, config);
+  return {std::move(log), stats};
+}
+
 }  // namespace
 
 TEST(Differential, EveryBackendAgreesWithBruteForce) {
@@ -280,6 +310,83 @@ TEST(Differential, TiledIndexMatchesMonolithic) {
     const NeighborResult knn_got = tiled.search(trial.queries, knn, nullptr);
     rtnn::testing::expect_knn_distances_match(trial.points, trial.queries, knn_got,
                                               knn_expected, label + " tiled knn");
+  }
+}
+
+TEST(Differential, LaunchWidthMatchesRefitToWidth) {
+  // One index serves every width: a launch at half-width h over the index
+  // built on the bare points must make exactly the decisions the same
+  // index makes after a refit to the width-2h cubes, launched at h = 0.
+  // FP32 rounding is monotone, so the grown bounds are bitwise the refit
+  // bounds. Binary, FP32-wide and warp-lockstep walks must agree on the
+  // IS-call sequence and the node/box/IS counters; the compressed layout
+  // quantizes bare and grown bounds differently, and the tiled walk orders
+  // tiles its own way, so those two must agree on candidate sets.
+  for (const Trial& trial : all_trials()) {
+    const std::string label =
+        trial.generator + " seed=" + std::to_string(trial.seed);
+    SCOPED_TRACE(label);
+    std::printf("[differential] launch-width generator=%s seed=%llu\n",
+                trial.generator.c_str(), static_cast<unsigned long long>(trial.seed));
+
+    const float h = trial.radius;
+    std::vector<Aabb> bare_boxes;
+    std::vector<Aabb> grown_boxes;
+    for (const Vec3& p : trial.points) {
+      bare_boxes.push_back(Aabb{p, p});
+      grown_boxes.push_back(Aabb::cube(p, 2.0f * h));
+    }
+    rt::Bvh bare;
+    bare.build(bare_boxes);
+    rt::WideBvh bare_wide;
+    bare_wide.build(bare);
+    rt::Bvh refit = bare;
+    refit.refit(grown_boxes);
+    rt::WideBvh refit_wide = bare_wide;
+    refit_wide.refit_from(refit);
+
+    std::vector<Ray> rays;
+    for (const Vec3& q : trial.queries) rays.push_back(Ray::short_ray(q));
+
+    rt::TraceConfig at_h;
+    at_h.aabb_half_width = h;
+    const rt::TraceConfig at_zero;
+    const auto expect_exact = [&](const auto& launched, const auto& reference,
+                                  const std::string& walk) {
+      EXPECT_EQ(launched.first.calls, reference.first.calls) << walk << ": IS sequence";
+      EXPECT_EQ(launched.second.node_visits, reference.second.node_visits) << walk;
+      EXPECT_EQ(launched.second.aabb_tests, reference.second.aabb_tests) << walk;
+      EXPECT_EQ(launched.second.is_calls, reference.second.is_calls) << walk;
+    };
+
+    const auto binary = trace_log(refit, rays, at_zero);
+    expect_exact(trace_log(bare, rays, at_h), binary, "binary");
+    expect_exact(trace_log(bare_wide, rays, at_h), trace_log(refit_wide, rays, at_zero),
+                 "fp32 wide");
+    rt::TraceConfig warp_h = at_h;
+    warp_h.model = rt::ExecutionModel::kWarpLockstep;
+    rt::TraceConfig warp_zero = at_zero;
+    warp_zero.model = rt::ExecutionModel::kWarpLockstep;
+    expect_exact(trace_log(bare, rays, warp_h), trace_log(refit, rays, warp_zero),
+                 "warp lockstep");
+
+    const auto expected_sets = binary.first.sets();
+    rt::TraceConfig compressed_h = at_h;
+    compressed_h.use_compressed = true;
+    EXPECT_EQ(trace_log(bare_wide, rays, compressed_h).first.sets(), expected_sets)
+        << "compressed";
+
+    ShardPlan plan = plan_shards(trial.points, 8);
+    std::vector<std::vector<std::uint32_t>> tile_ids;
+    for (ShardPlan::Shard& shard : plan.shards) tile_ids.push_back(std::move(shard.point_ids));
+    rt::TiledBvh tiled;
+    tiled.build(trial.points, tile_ids);
+    for (const bool compressed : {false, true}) {
+      rt::TraceConfig tiled_h = at_h;
+      tiled_h.use_compressed = compressed;
+      EXPECT_EQ(trace_log(tiled, rays, tiled_h).first.sets(), expected_sets)
+          << (compressed ? "tiled compressed" : "tiled fp32");
+    }
   }
 }
 

@@ -66,7 +66,7 @@ TEST(BvhRefit, IdentityRefitKeepsBoundsAndInflationAtOne) {
   bvh.refit(cubes(points, 2.0f));
   bvh.validate();
   EXPECT_EQ(bvh.nodes()[bvh.root()].bounds, root_before);
-  EXPECT_NEAR(bvh.sah_inflation(), 1.0, 1e-6);
+  EXPECT_NEAR(bvh.sah_inflation(0.0f), 1.0, 1e-6);
 }
 
 TEST(BvhRefit, SahInflationGrowsWhenCorrespondenceBreaks) {
@@ -80,7 +80,30 @@ TEST(BvhRefit, SahInflationGrowsWhenCorrespondenceBreaks) {
   data::shuffle(points, 123);
   bvh.refit(cubes(points, 0.05f));
   bvh.validate();  // still a correct tree, just a bad one
-  EXPECT_GT(bvh.sah_inflation(), 2.0);
+  EXPECT_GT(bvh.sah_inflation(0.0f), 2.0);
+}
+
+TEST(BvhRefit, SahInflationAtHalfWidthMatchesGrownBoxes) {
+  // A tree over bare points judged at half-width h must report the
+  // inflation a tree over the width-2h cubes reports: the refit policy's
+  // 1.4 threshold was calibrated on grown boxes, and bare leaves have no
+  // area of their own.
+  const std::vector<Vec3> before = rtnn::testing::make_cloud(CloudKind::kUniform, 20'000, 9);
+  const std::vector<Vec3> after = jitter_cloud(before, 0.05f, 31);
+  const float h = 0.04f;
+
+  rt::Bvh grown;
+  grown.build(cubes(before, 2.0f * h));
+  grown.refit(cubes(after, 2.0f * h));
+  rt::Bvh bare;
+  bare.build(cubes(before, 0.0f));
+  bare.refit(after);
+
+  const double expected = grown.sah_inflation(0.0f);
+  EXPECT_GT(expected, 1.05) << "the motion must actually degrade the tree";
+  EXPECT_NEAR(bare.sah_inflation(h), expected, 1e-4 * expected);
+  EXPECT_GT(bare.sah_inflation(0.0f), expected)
+      << "bare bounds overstate the inflation the search width sees";
 }
 
 TEST(BvhRefit, CountMismatchThrows) {
@@ -95,7 +118,7 @@ TEST(BvhRefit, CountMismatchThrows) {
 TEST(BvhRefit, EmptyTreeRefitsToEmpty) {
   rt::Bvh bvh;
   bvh.build({});
-  EXPECT_NO_THROW(bvh.refit({}));
+  EXPECT_NO_THROW(bvh.refit(std::span<const Aabb>{}));
   EXPECT_TRUE(bvh.empty());
 }
 
@@ -213,7 +236,7 @@ TEST(AccelRefit, SharedDataCopiesOnWrite) {
 
 TEST(AccelRefit, UnbuiltAccelThrows) {
   ox::Accel accel;
-  EXPECT_THROW(accel.refit({}), Error);
+  EXPECT_THROW(accel.refit(std::span<const Aabb>{}), Error);
 }
 
 // --- refit-vs-rebuild policy -------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "baselines/brute_force.hpp"
@@ -147,6 +148,60 @@ TEST(RtnnApi, PreconditionsChecked) {
   params.radius = 1.0f;
   params.k = 0;
   EXPECT_THROW(search.search(queries, params), Error);
+}
+
+TEST(RtnnApi, NonFiniteInputIsRejected) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<Vec3> points{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
+  NeighborSearch search;
+  EXPECT_THROW(search.set_points(std::vector<Vec3>{{0, 0, 0}, {kNan, 0, 0}}), Error);
+  EXPECT_THROW(search.set_points(std::vector<Vec3>{{0, kInf, 0}}), Error);
+  search.set_points(points);
+  EXPECT_THROW(search.update_points(std::vector<Vec3>{{0, 0, 0}, {1, 0, 0}, {0, 0, -kInf}}),
+               Error);
+
+  SearchParams params;
+  const std::vector<Vec3> queries{{0, 0, 0}};
+  EXPECT_THROW(search.search(std::vector<Vec3>{{kNan, 0, 0}}, params), Error);
+  for (const float radius : {kNan, kInf, 0.0f}) {
+    params.radius = radius;
+    EXPECT_THROW(search.search(queries, params), Error) << "radius " << radius;
+  }
+  // The refused calls left the uploaded cloud intact.
+  params.radius = 1.5f;
+  EXPECT_EQ(search.search(queries, params).count(0), 3u);
+}
+
+TEST(RtnnApi, PersistentIndexServesEveryRadius) {
+  // One index per cloud: a persistent search queried at alternating radii
+  // builds once, on the first call, and never again — not per radius and
+  // not per partition bundle — while every answer stays exact.
+  const auto points = testing::make_cloud(CloudKind::kLidar, 6000, 17);
+  const auto queries = data::jittered_queries(points, 400, 0.01f, 18);
+  NeighborSearch search;
+  search.set_index_persistence(true);
+  search.set_points(points);
+  SearchParams params;
+  params.mode = SearchMode::kKnn;
+  params.k = 8;
+  params.opts = OptimizationFlags::all();
+  const float radii[] = {testing::typical_radius(CloudKind::kLidar),
+                         2.0f * testing::typical_radius(CloudKind::kLidar)};
+  for (int call = 0; call < 6; ++call) {
+    params.radius = radii[call % 2];
+    NeighborSearch::Report report;
+    const auto got = search.search(queries, params, &report);
+    const auto expected = baselines::brute_force_knn(points, queries, params.radius, 8);
+    testing::expect_knn_distances_match(points, queries, got, expected,
+                                        "call " + std::to_string(call));
+    if (call == 0) {
+      EXPECT_GT(report.time.bvh, 0.0) << "the first call builds the index";
+    } else {
+      EXPECT_EQ(report.time.bvh, 0.0) << "call " << call << " rebuilt the index";
+      EXPECT_EQ(report.accel_rebuilds, 0u) << "call " << call;
+    }
+  }
 }
 
 TEST(RtnnApi, ReportPhasesArePopulated) {

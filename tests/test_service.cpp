@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -448,6 +449,30 @@ TEST(SearchService, UpdateResultsMatchFreshService) {
                                       "post-update");
 }
 
+TEST(SearchService, AlternatingRadiiReuseOneIndex) {
+  // A tenant's index is keyed by nothing but its points: requests at two
+  // alternating radii must never rebuild it after the first call.
+  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("tenant", cloud);
+  auto reference = engine::make_backend("brute_force");
+  reference->set_points(cloud);
+  const std::vector<Vec3> queries = client_queries(cloud, 3, 64, kSeed + 11);
+  const float r = typical_radius(CloudKind::kUniform);
+  for (int call = 0; call < 6; ++call) {
+    SearchParams params = knn_params(call % 2 == 0 ? r : 2.0f * r);
+    params.opts = OptimizationFlags::all();
+    const RequestOutcome outcome = svc.query(handle, queries, params);
+    rtnn::testing::expect_knn_identical(cloud, queries, outcome.result,
+                                        reference->search(queries, params, nullptr),
+                                        "call " + std::to_string(call));
+    if (call > 0) {
+      EXPECT_EQ(outcome.report.time.bvh, 0.0) << "call " << call << " rebuilt the index";
+      EXPECT_EQ(outcome.report.accel_rebuilds, 0u) << "call " << call;
+    }
+  }
+}
+
 TEST(SearchService, RefitRebuildIncrementsAreNeverLost) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
@@ -704,6 +729,54 @@ TEST(ErrorContract, EveryRejectReasonSurfacesThroughGetAndTryGet) {
     EXPECT_EQ(reason_via_get(missed_a), RejectReason::kDeadline);
     EXPECT_EQ(reason_via_try_get(missed_b), RejectReason::kDeadline);
   }
+}
+
+TEST(ErrorContract, NonFiniteInputIsRefusedTyped) {
+  // NaN/Inf coordinates and non-finite or non-positive radii are refused
+  // at every door with kInvalid, before anything is registered, published
+  // or queued.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 400, kSeed);
+  const auto expect_invalid = [](const auto& call, const std::string& label) {
+    try {
+      call();
+      ADD_FAILURE() << label << " must throw";
+    } catch (const ServiceError& error) {
+      EXPECT_EQ(error.reason(), RejectReason::kInvalid) << label;
+    }
+  };
+
+  SearchService service;
+  for (const float bad : {kNan, kInf, -kInf}) {
+    std::vector<Vec3> poisoned = cloud;
+    poisoned[7].y = bad;
+    expect_invalid([&] { (void)service.register_cloud("poisoned", poisoned); },
+                   "register_cloud");
+  }
+  EXPECT_TRUE(service.list_clouds().empty()) << "a refused registration registers nothing";
+
+  const CloudHandle handle = service.register_cloud("clean", cloud);
+  std::vector<Vec3> poisoned = cloud;
+  poisoned[3].z = kNan;
+  expect_invalid([&] { service.update_points(handle, poisoned); }, "update_points");
+
+  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
+  std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 8);
+  queries[2].x = kInf;
+  expect_invalid([&] { (void)service.submit(handle, queries, params); }, "submit query");
+  queries[2] = cloud[2];
+  for (const float radius : {kNan, kInf, 0.0f, -1.0f}) {
+    SearchParams bad = params;
+    bad.radius = radius;
+    expect_invalid([&] { (void)service.submit(handle, queries, bad); },
+                   "submit radius " + std::to_string(radius));
+  }
+
+  // The refused update published nothing: version 0 still answers.
+  const RequestOutcome outcome = service.query(handle, queries, params);
+  EXPECT_EQ(outcome.snapshot_version, 0u);
+  EXPECT_EQ(outcome.result.num_queries(), queries.size());
 }
 
 TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {

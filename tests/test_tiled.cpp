@@ -63,7 +63,7 @@ TileOptions small_tiles(std::size_t threshold = 48) {
 TEST(TiledBvh, BuildPartitionsAndValidates) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 4000, 3);
   rt::TiledBvh tlas;
-  tlas.build(points, 0.1f, plan_tiles(points, 8));
+  tlas.build(points, plan_tiles(points, 8));
   tlas.validate();
 
   EXPECT_EQ(tlas.tile_count(), 8u);
@@ -88,9 +88,10 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
 }
 
 TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
-  // The exactness claim at the rt:: level: the TLAS walk must surface the
-  // byte-identical candidate set (same global prim ids) the monolithic
-  // walk surfaces, compressed and uncompressed alike.
+  // The exactness claim at the rt:: level: the TLAS walk over the bare
+  // points, launched at half the width, must surface the byte-identical
+  // candidate set (same global prim ids) the monolithic walk over the
+  // width's cubes surfaces, compressed and uncompressed alike.
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 5000, 7);
   const float width = 2.5f;
 
@@ -103,7 +104,7 @@ TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
   wide.build(mono);
 
   rt::TiledBvh tlas;
-  tlas.build(points, width, plan_tiles(points, 11));
+  tlas.build(points, plan_tiles(points, 11));
   tlas.validate();
 
   Pcg32 rng(99);
@@ -118,6 +119,7 @@ TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
     SCOPED_TRACE(compressed ? "compressed" : "fp32");
     rt::TraceConfig config;
     config.use_compressed = compressed;
+    config.aabb_half_width = 0.5f * width;
     Collector got(queries.size());
     rt::trace(tlas, rays, got, config);
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -131,7 +133,7 @@ TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
   rt::TiledBvh tlas;
   rt::TiledBuildOptions options;
   options.lazy_build = true;
-  tlas.build(points, 0.05f, plan_tiles(points, 16), options);
+  tlas.build(points, plan_tiles(points, 16), options);
   tlas.validate();  // must hold for unbuilt tiles too
 
   EXPECT_EQ(tlas.built_tile_count(), 0u) << "lazy build defers every BLAS";
@@ -150,7 +152,9 @@ TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
   std::vector<Vec3> queries;
   for (int i = 0; i < 64; ++i) queries.push_back(rng.uniform_in_aabb(corner));
   Collector collector(queries.size());
-  rt::trace(tlas, short_rays(queries), collector);
+  rt::TraceConfig config;
+  config.aabb_half_width = 0.025f;
+  rt::trace(tlas, short_rays(queries), collector, config);
 
   EXPECT_GT(tlas.built_tile_count(), 0u);
   EXPECT_LT(tlas.built_tile_count(), tlas.tile_count())
@@ -165,7 +169,7 @@ TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
 TEST(TiledBvh, UpdateTouchesOnlyMovedTiles) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 3000, 13);
   rt::TiledBvh tlas;
-  tlas.build(points, 0.08f, plan_tiles(points, 10));
+  tlas.build(points, plan_tiles(points, 10));
 
   // Move exactly the members of tile 3.
   std::vector<Vec3> moved = points;
@@ -180,7 +184,7 @@ TEST(TiledBvh, UpdateTouchesOnlyMovedTiles) {
   }
 
   const rt::TiledUpdateStats stats =
-      tlas.update(moved, [](double) { return rt::TileUpdate::kRefit; });
+      tlas.update(moved, 0.04f, [](double) { return rt::TileUpdate::kRefit; });
   tlas.validate();
 
   EXPECT_EQ(stats.tiles_touched, 1u);
@@ -200,13 +204,13 @@ TEST(TiledBvh, CopiesShareTilesUntilUpdate) {
   // after the original absorbs motion, and untouched tiles stay shared.
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 17);
   rt::TiledBvh live;
-  live.build(points, 0.08f, plan_tiles(points, 6));
+  live.build(points, plan_tiles(points, 6));
   rt::TiledBvh snapshot = live;  // shares every tile
 
   std::vector<Vec3> moved = points;
   const std::uint32_t id = live.tile(0).prim_ids()[0];
   moved[id].x += 0.5f;
-  live.update(moved, [](double) { return rt::TileUpdate::kRebuild; });
+  live.update(moved, 0.04f, [](double) { return rt::TileUpdate::kRebuild; });
 
   // The snapshot still holds the pre-move position; the live index holds
   // the new one.
@@ -266,6 +270,16 @@ TEST(TiledSearch, MatchesMonolithicAcrossCloudKinds) {
                         small_tiles(/*threshold=*/256),
                         "kind=" + std::to_string(static_cast<int>(kind)));
   }
+  // Tiles split the points and megacells the queries, so the two compose:
+  // searched with every optimization on (SearchParams' default
+  // OptimizationFlags::all()), a tiled lidar cloud partitions its queries,
+  // each partition launching at its own width against the one tiled index.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 6000, 71);
+  const std::vector<Vec3> queries(points.begin(), points.begin() + 1500);
+  NeighborSearch::Report report;
+  expect_tiled_parity(points, queries, rtnn::testing::typical_radius(CloudKind::kLidar),
+                      small_tiles(/*threshold=*/256), "partitioned lidar", &report);
+  EXPECT_GT(report.num_partitions, 1u) << "partitioning must engage on a tiled cloud";
 }
 
 TEST(TiledSearch, LazyAndEagerAgree) {

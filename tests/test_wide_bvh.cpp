@@ -185,9 +185,10 @@ TEST(WideBvh, KnnParityAcrossK) {
 }
 
 /// Direct check that this build's wide_node_hits (AVX2 or scalar) agrees
-/// with the scalar single-box test on every slot — including arbitrary ray
-/// directions, zero direction components (±inf reciprocals) and boundary
-/// coordinates that produce NaNs in the slab arithmetic.
+/// with the scalar single-box test on every slot, grown by the launch
+/// half-width (0 on even iterations) — including arbitrary ray directions,
+/// zero direction components (±inf reciprocals) and boundary coordinates
+/// that produce NaNs in the slab arithmetic.
 TEST(WideBvh, NodeTestMatchesScalarSemantics) {
   Pcg32 rng(4242);
   const Aabb domain{{-1, -1, -1}, {1, 1, 1}};
@@ -229,10 +230,11 @@ TEST(WideBvh, NodeTestMatchesScalarSemantics) {
         ray.tmax = 1.0f;
         break;
     }
+    const float h = iter % 2 == 0 ? 0.0f : 0.25f * rng.next_float();
     const std::uint32_t mask =
-        detail::wide_node_hits(node, ray, reciprocal_dir(ray));
+        detail::wide_node_hits(node, ray, reciprocal_dir(ray), h);
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-      EXPECT_EQ((mask >> i) & 1u, ray_intersects_aabb(ray, boxes[i]) ? 1u : 0u)
+      EXPECT_EQ((mask >> i) & 1u, ray_intersects_aabb(ray, boxes[i].expanded(h)) ? 1u : 0u)
           << "iter " << iter << " slot " << i;
     }
   }
