@@ -50,8 +50,8 @@ double time_backend(bench::CaseContext& ctx, const std::string& name,
 
 /// One instrumented rtnn run per dataset: per-stage seconds under the
 /// `<prefix>.stage.*` names tools/bench_compare.py attributes hotspot
-/// movement by, plus the index footprint of the layout actually launched
-/// (`index_bytes.*` — the acceptance metric of the compressed wide BVH).
+/// movement by, plus the footprint of the index the launches traversed
+/// (`index_bytes.*`).
 void emit_rtnn_breakdown(bench::CaseContext& ctx, const std::string& prefix,
                          engine::SearchBackend& backend, std::span<const Vec3> points,
                          std::span<const Vec3> queries, const SearchParams& params) {

@@ -185,13 +185,6 @@ struct LaunchOptions {
   /// characterization runs. Ignored by kWarpLockstep, which always walks
   /// the binary tree for simulation fidelity.
   bool use_wide_bvh = true;
-  /// Wide launches traverse the quantized compressed node layout (80 B vs
-  /// 256 B per node) — the production default; candidate sets are
-  /// identical by construction. Clear to traverse the FP32 SoA nodes: the
-  /// configuration the cost model's default constants were calibrated
-  /// against, kept as the opt-out fallback. Ignored unless the launch
-  /// takes the wide path.
-  bool use_compressed_bvh = true;
   /// Half the AABB width this launch searches at: every box is grown by it
   /// on each face, so an accel over bare points answers exactly like one
   /// over Aabb::cube(p, 2 * aabb_half_width) (rt::TraceConfig).
@@ -286,12 +279,11 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   config.parallel = options.parallel;
   config.simulate_caches = options.simulate_caches;
   config.collect_stats = options.collect_stats || options.simulate_caches;
-  config.use_compressed = options.use_compressed_bvh;
   config.aabb_half_width = options.aabb_half_width;
   const bool wide =
       options.model == ExecutionModel::kIndependent && options.use_wide_bvh;
   // A tiled accel has exactly one traversal: the TLAS walk (independent
-  // model; use_compressed_bvh still selects each tile's BLAS layout).
+  // model).
   const LaunchStats stats =
       accel.is_tiled()
           ? rt::trace(accel.tiled_bvh(), std::span<const Ray>(rays), adapter, config)

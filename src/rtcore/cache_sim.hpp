@@ -76,7 +76,7 @@ class MemoryHierarchy {
 
   /// Touches every cache line in [address, address + bytes) — one access
   /// per line, the way a streaming fetch of a multi-line object (e.g. a
-  /// 256 B FP32 wide node vs an 80 B compressed one) lands in hardware.
+  /// 256 B wide node) lands in hardware.
   /// The line walk uses the L1's line size; the L2 line size is the same
   /// in every configuration we model (both default to 128 B).
   void access_range(std::uint64_t address, std::uint64_t bytes) {

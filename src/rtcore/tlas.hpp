@@ -17,7 +17,7 @@
 // AABB half-width (traversal.hpp).
 //
 // Traversal (rt::trace over a TiledBvh, traversal.hpp) walks the top tree
-// and runs the ordinary wide/compressed BLAS walk inside each intersected
+// and runs the ordinary wide BLAS walk inside each intersected
 // tile, remapping tile-local primitive ids back to the caller's global
 // ids. Candidate sets match the monolithic path: a tile's bounds contain
 // every member point, and the launch grows tile and member boxes alike, so
@@ -87,7 +87,7 @@ struct TiledUpdateStats {
 
 /// Aggregate footprint of the two-level index: the byte gauges sum the
 /// *built* tiles only (a lazy index's resident footprint is the routed
-/// working set), in whichever node layout the caller traverses.
+/// working set).
 struct TiledBvhStats {
   std::uint32_t tile_count = 0;
   std::uint32_t built_tiles = 0;
@@ -185,8 +185,8 @@ class TiledBvh {
   /// point for callers that want build cost out of the first launch.
   void ensure_all_built() const;
 
-  /// Footprint of the built tiles in the selected node layout.
-  TiledBvhStats stats(bool compressed) const;
+  /// Footprint of the built tiles' wide indexes plus the top tree.
+  TiledBvhStats stats() const;
 
   /// Worst observed per-tile SAH inflation at `half_width` (1.0 when every
   /// built tile is fresh) — the quality signal the per-tile policy reacts

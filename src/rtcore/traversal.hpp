@@ -72,21 +72,14 @@ struct TraceConfig {
   bool parallel = true;
   /// Attach the cache simulator to node/primitive fetches. Supported by
   /// the warp-lockstep model (the paper-characterization path) and by the
-  /// wide-BVH independent overload, where it models each node layout's
-  /// real byte footprint (256 B FP32 vs 80 B compressed). Adds overhead;
-  /// meant for characterization runs.
+  /// wide-BVH independent overload, where it models the 256 B wide node's
+  /// real byte footprint. Adds overhead; meant for characterization runs.
   bool simulate_caches = false;
   CacheConfig l1{64 * 1024, 128, 4};
   CacheConfig l2{4 * 1024 * 1024, 128, 16};
   /// Collect LaunchStats counters. Disabling removes the accounting from
   /// the hot loop for pure wall-clock runs.
   bool collect_stats = true;
-  /// Wide-BVH overload only: traverse the quantized compressed mirror
-  /// instead of the FP32 SoA nodes. Candidate sets (and the IS-call
-  /// sequence) are identical by construction; only the memory footprint
-  /// changes. Off by default at this layer — the rt:: API stays explicit,
-  /// and the production default lives in ox::LaunchOptions.
-  bool use_compressed = false;
   /// Half the AABB width the launch searches at (see the file comment).
   float aabb_half_width = 0.0f;
 };
@@ -110,10 +103,6 @@ constexpr std::uint32_t kWarpSize = 32;
 constexpr std::uint64_t kNodeStride = 64;
 constexpr std::uint64_t kPrimRegionBase = std::uint64_t{1} << 40;
 constexpr std::uint64_t kPrimStride = 32;
-// The compressed traversal's exact re-test streams a leaf-slot-ordered
-// copy of the primitive AABBs — contiguous, packed at sizeof(Aabb), in its
-// own region so the simulator sees it as the distinct array it is.
-constexpr std::uint64_t kOrderedPrimRegionBase = std::uint64_t{1} << 41;
 // Two-level traversal: the top-level tree's nodes live in their own
 // region, and each tile's bottom-level arrays are offset by the tile's
 // slice of the address space, so the simulator sees distinct tiles as the
@@ -187,20 +176,18 @@ void trace_one(const Bvh& bvh, const Ray& ray, float h, std::uint32_t ray_id,
 /// via valid_mask(). `inv_dir` is the precomputed 1/dir (±inf for zero
 /// components), hoisted out of the per-node loop.
 #ifdef RTNN_HAVE_AVX2
-/// The 8-lane box test shared by both node layouts: lane i of each input
-/// register holds child i's coordinate, grown by `h` with the single
-/// subtract/add Aabb::expanded() rounds. Decision-identical to
-/// ray_intersects_aabb per lane, including NaN semantics.
-inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
-                                   __m256 maxx, __m256 maxy, __m256 maxz,
-                                   const Ray& ray, const Vec3& inv_dir, float h) {
+/// Lane i of each register holds child i's coordinate, grown by `h` with
+/// the single subtract/add Aabb::expanded() rounds; NaN semantics match
+/// the scalar test.
+inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
+                                    const Vec3& inv_dir, float h) {
   const __m256 hv = _mm256_set1_ps(h);
-  minx = _mm256_sub_ps(minx, hv);
-  miny = _mm256_sub_ps(miny, hv);
-  minz = _mm256_sub_ps(minz, hv);
-  maxx = _mm256_add_ps(maxx, hv);
-  maxy = _mm256_add_ps(maxy, hv);
-  maxz = _mm256_add_ps(maxz, hv);
+  const __m256 minx = _mm256_sub_ps(_mm256_load_ps(node.minx), hv);
+  const __m256 miny = _mm256_sub_ps(_mm256_load_ps(node.miny), hv);
+  const __m256 minz = _mm256_sub_ps(_mm256_load_ps(node.minz), hv);
+  const __m256 maxx = _mm256_add_ps(_mm256_load_ps(node.maxx), hv);
+  const __m256 maxy = _mm256_add_ps(_mm256_load_ps(node.maxy), hv);
+  const __m256 maxz = _mm256_add_ps(_mm256_load_ps(node.maxz), hv);
   const __m256 ox = _mm256_set1_ps(ray.origin.x);
   const __m256 oy = _mm256_set1_ps(ray.origin.y);
   const __m256 oz = _mm256_set1_ps(ray.origin.z);
@@ -236,43 +223,6 @@ inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
 
   return static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_or_ps(inside, slab)));
 }
-
-inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
-                                    const Vec3& inv_dir, float h) {
-  return simd_box_hits(_mm256_load_ps(node.minx), _mm256_load_ps(node.miny),
-                       _mm256_load_ps(node.minz), _mm256_load_ps(node.maxx),
-                       _mm256_load_ps(node.maxy), _mm256_load_ps(node.maxz),
-                       ray, inv_dir, h);
-}
-
-/// Same contract against the quantized layout: dequantize the eight child
-/// boxes, then run the identical box test. The dequantization here is
-/// bitwise-identical to the scalar dequantize_slot(): uint8 -> int32 ->
-/// float conversion is exact, the multiply by a power-of-two scale is
-/// exact, and the single add rounds the same way — so AVX2 and scalar
-/// builds agree bit-for-bit on every decoded bound, and the SIMD-vs-scalar
-/// decision parity the FP32 path guarantees carries over. No FMA: -mavx2
-/// alone does not license it, and contracting mul+add would change the
-/// rounding against the scalar decoder.
-inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir, float h) {
-  const auto dq = [](const std::uint8_t* q, __m256 anchor, __m256 scale) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-    return _mm256_add_ps(_mm256_mul_ps(f, scale), anchor);
-  };
-  const __m256 ax = _mm256_set1_ps(node.anchor_x);
-  const __m256 ay = _mm256_set1_ps(node.anchor_y);
-  const __m256 az = _mm256_set1_ps(node.anchor_z);
-  const __m256 sx = _mm256_set1_ps(quant_scale(node.exp_x));
-  const __m256 sy = _mm256_set1_ps(quant_scale(node.exp_y));
-  const __m256 sz = _mm256_set1_ps(quant_scale(node.exp_z));
-  return simd_box_hits(dq(node.qlox, ax, sx), dq(node.qloy, ay, sy),
-                       dq(node.qloz, az, sz), dq(node.qhix, ax, sx),
-                       dq(node.qhiy, ay, sy), dq(node.qhiz, az, sz),
-                       ray, inv_dir, h);
-}
 #else
 inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
                                     const Vec3& inv_dir, float h) {
@@ -284,17 +234,6 @@ inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
   }
   return mask;
 }
-
-inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir, float h) {
-  std::uint32_t mask = 0;
-  for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    if (ray_intersects_aabb(ray, dequantize_slot(node, i).expanded(h), inv_dir)) {
-      mask |= 1u << i;
-    }
-  }
-  return mask;
-}
 #endif
 
 /// Single-ray traversal of the 8-wide SoA BVH. `stack` is the caller's
@@ -302,8 +241,7 @@ inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const 
 /// non-null, replays node/primitive fetches through the cache simulator at
 /// this layout's real byte footprint.
 ///
-/// Inner-loop micro-optimizations (shared with the compressed variant so
-/// the two stay decision-order-identical):
+/// Inner-loop micro-optimizations:
 ///  * after each pop, the next stack entry's node line is prefetched — by
 ///    the time this node's 8-box test and leaf work retire, the next
 ///    node's first line is usually in flight;
@@ -375,75 +313,6 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, float h, std::uint32_t r
   }
 }
 
-/// Single-ray traversal of the compressed (quantized) wide layout. Same
-/// shape as trace_one_wide with two deliberate differences: nodes are
-/// decoded via compressed_node_hits, and *every* leaf primitive — even a
-/// single-primitive leaf — is re-tested against its exact FP32 AABB.
-/// Dequantized slot boxes are conservative supersets, so the slot hit
-/// alone is not proof of a primitive hit; the exact re-test is what makes
-/// candidate sets (and hence the IS-call sequence, including kTerminate
-/// cut-offs) identical to the FP32 path: a spurious slot hit leads into a
-/// subtree whose primitives the ray provably misses, contributing zero IS
-/// calls. The re-test reads the leaf-slot-ordered AABB snapshot
-/// (ordered_prim_aabbs), so the extra fetches stream contiguously in
-/// traversal order instead of gathering through prim_order.
-template <typename Program>
-void trace_one_compressed(const WideBvh& bvh, const Ray& ray, float h,
-                          std::uint32_t ray_id, Program& program, LaunchStats* stats,
-                          std::uint32_t* stack,
-                          MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
-  const auto nodes = bvh.compressed_nodes();
-  const auto leaves = bvh.leaves();
-  const auto prim_order = bvh.prim_order();
-  const auto ordered_prim_aabbs = bvh.ordered_prim_aabbs();
-  const Vec3 inv_dir = reciprocal_dir(ray);
-  std::uint32_t sp = 0;
-  stack[sp++] = bvh.root();
-  while (sp > 0) {
-    const std::uint32_t node_id = stack[--sp];
-    if (sp > 0) RTNN_PREFETCH(&nodes[stack[sp - 1]]);
-    const CompressedWideNode& node = nodes[node_id];
-    if (mem) {
-      mem->access_range(mem_base + node_id * sizeof(CompressedWideNode),
-                        sizeof(CompressedWideNode));
-    }
-    if (stats) {
-      ++stats->node_visits;
-      stats->aabb_tests += node.count;
-    }
-    std::uint32_t mask = compressed_node_hits(node, ray, inv_dir, h) & node.valid_mask();
-    std::uint32_t pushes[kWideBvhWidth];
-    std::uint32_t n_push = 0;
-    while (mask != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      if (node.is_leaf_slot(slot)) {
-        const WideLeaf leaf = leaves[node.leaf_index(slot)];
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          const std::uint32_t prim = prim_order[s];
-          if (mem) {
-            mem->access_range(mem_base + kOrderedPrimRegionBase + s * sizeof(Aabb),
-                              sizeof(Aabb));
-          }
-          if (stats) ++stats->aabb_tests;
-          if (!ray_intersects_aabb(ray, ordered_prim_aabbs[s].expanded(h), inv_dir)) {
-            continue;
-          }
-          if (stats) ++stats->is_calls;
-          if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-            if (stats) ++stats->terminated_rays;
-            return;
-          }
-        }
-      } else {
-        pushes[n_push++] = node.child_index(slot);
-      }
-    }
-    RTNN_DCHECK(sp + n_push <= kWideStackDepth, "wide traversal stack overflow");
-    for (std::uint32_t i = n_push; i > 0; --i) stack[sp++] = pushes[i - 1];
-  }
-}
-
 /// Shader shim between a tile's bottom-level walk and the caller's
 /// program: BLAS primitive ids are tile-local slots, so intersect()
 /// remaps them through the tile's id list before forwarding. kTerminate
@@ -465,7 +334,7 @@ struct TileProgram {
 
 /// Single-ray two-level traversal: a binary stack walk of the top tree
 /// culls whole tiles; each intersected tile leaf lazily builds (first
-/// route) and then runs the ordinary wide/compressed BLAS walk with ids
+/// route) and then runs the ordinary wide BLAS walk with ids
 /// remapped to global. Candidate sets match the monolithic path because
 /// tile bounds contain every member AABB — top-level culling only skips
 /// tiles the ray provably misses — and tiles partition the primitives, so
@@ -475,7 +344,7 @@ struct TileProgram {
 template <typename Program>
 void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, float h, std::uint32_t ray_id,
                      Program& program, LaunchStats* stats, std::uint32_t* wide_stack,
-                     bool use_compressed, MemoryHierarchy* mem = nullptr) {
+                     MemoryHierarchy* mem = nullptr) {
   const Bvh& top = tlas.top();
   if (top.empty()) return;
   std::uint32_t stack[kMaxStackDepth];
@@ -499,14 +368,8 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, float h, std::uint32_
         const TiledBvh::Tile& tile = tlas.tile(t);
         const TiledBvh::TileIndex& index = tile.ensure_index(tlas.leaf_size());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
-        const std::uint64_t tile_base = std::uint64_t{t} * kTileRegionStride;
-        if (use_compressed) {
-          trace_one_compressed(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
-                               tile_base);
-        } else {
-          trace_one_wide(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
-                         tile_base);
-        }
+        trace_one_wide(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
+                       std::uint64_t{t} * kTileRegionStride);
         if (tp.terminated) return;
       }
     } else {
@@ -665,11 +528,8 @@ LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
 }
 
 /// Wide-BVH overload: the wall-clock independent path.
-/// config.use_compressed selects the quantized node layout (identical
-/// candidate sets, ~1/3 the node bytes); config.simulate_caches replays
-/// the selected layout's node/primitive fetches through per-worker cache
-/// hierarchies, so the two layouts' modeled miss counts are directly
-/// comparable.
+/// config.simulate_caches replays the node/primitive fetches through
+/// per-worker cache hierarchies.
 template <typename Program>
 LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
@@ -681,17 +541,13 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
   return detail::run_launch(
       rays, rays.size(), grain::kTrace, config, config.collect_stats,
       [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
-        if (config.use_compressed) {
-          detail::trace_one_compressed(bvh, rays[i], h, i, program, stats, stack, mem);
-        } else {
-          detail::trace_one_wide(bvh, rays[i], h, i, program, stats, stack, mem);
-        }
+        detail::trace_one_wide(bvh, rays[i], h, i, program, stats, stack, mem);
       });
 }
 
 /// Two-level overload: the TLAS walk over a tiled index. Independent
-/// model only, same chunking/stats/caching shape as the WideBvh overload;
-/// config.use_compressed selects each tile's BLAS layout. Lazy tiles are
+/// model only, same chunking/stats/caching shape as the WideBvh overload.
+/// Lazy tiles are
 /// built on first route from inside the launch (thread-safe, built once
 /// regardless of how many chunks race to the same tile).
 template <typename Program>
@@ -705,7 +561,7 @@ LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& prog
       rays, rays.size(), grain::kTrace, config, config.collect_stats,
       [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
         detail::trace_one_tiled(tlas, rays[i], config.aabb_half_width, i, program, stats,
-                                stack, config.use_compressed, mem);
+                                stack, mem);
       });
 }
 /// Convenience for tests: trace a single ray with stats.

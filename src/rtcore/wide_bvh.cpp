@@ -72,11 +72,10 @@ void fill_bounds(WideBvhNode& node, std::span<const BvhNode> bin_nodes,
 
 void WideBvh::build(const Bvh& source) {
   nodes_.clear();
-  compressed_nodes_.clear();
   leaves_.clear();
   slot_sources_.clear();
-  ordered_prim_aabbs_.clear();
   max_depth_ = 0;
+  child_slots_ = 0;
   prim_order_.assign(source.prim_order().begin(), source.prim_order().end());
   prim_aabbs_.assign(source.prim_aabbs().begin(), source.prim_aabbs().end());
   source_node_count_ = static_cast<std::uint32_t>(source.nodes().size());
@@ -147,6 +146,7 @@ void WideBvh::build(const Bvh& source) {
 
     WideBvhNode& node = nodes_[p.wide_index];
     node.count = size;
+    child_slots_ += size;
     std::copy(children.begin(), children.end(), node.child);
     slot_sources_[p.wide_index] = frontier;
     if (inline_fill) fill_bounds(node, bin_nodes, frontier);
@@ -158,8 +158,6 @@ void WideBvh::build(const Bvh& source) {
                   slot_sources_[static_cast<std::size_t>(ni)]);
     }, grain::kElementwise / kWideBvhWidth);
   }
-  compress_nodes();
-  refresh_ordered_prims();
 }
 
 void WideBvh::refit_from(const Bvh& source) {
@@ -181,31 +179,7 @@ void WideBvh::refit_from(const Bvh& source) {
     fill_bounds(nodes_[static_cast<std::size_t>(ni)], bin_nodes,
                 slot_sources_[static_cast<std::size_t>(ni)]);
   }, grain::kElementwise / kWideBvhWidth);
-  compress_nodes();
-  refresh_ordered_prims();
 }
-
-void WideBvh::refresh_ordered_prims() {
-  ordered_prim_aabbs_.resize(prim_aabbs_.size());
-  parallel_for(0, static_cast<std::int64_t>(prim_order_.size()), [&](std::int64_t si) {
-    const auto s = static_cast<std::size_t>(si);
-    ordered_prim_aabbs_[s] = prim_aabbs_[prim_order_[s]];
-  }, grain::kElementwise);
-}
-
-namespace {
-
-/// Shared-array footprint: leaf records plus the primitive snapshot, which
-/// both node layouts reference unchanged.
-std::uint64_t shared_index_bytes(std::span<const WideLeaf> leaves,
-                                 std::span<const std::uint32_t> prim_order,
-                                 std::span<const Aabb> prim_aabbs) {
-  return static_cast<std::uint64_t>(leaves.size_bytes()) +
-         static_cast<std::uint64_t>(prim_order.size_bytes()) +
-         static_cast<std::uint64_t>(prim_aabbs.size_bytes());
-}
-
-}  // namespace
 
 WideBvhStats WideBvh::stats() const {
   WideBvhStats s;
@@ -213,24 +187,11 @@ WideBvhStats WideBvh::stats() const {
   s.leaf_count = static_cast<std::uint32_t>(leaves_.size());
   s.max_depth = max_depth_;
   s.node_bytes = static_cast<std::uint64_t>(nodes_.size()) * sizeof(WideBvhNode);
-  s.total_index_bytes =
-      s.node_bytes + shared_index_bytes(leaves_, prim_order_, prim_aabbs_);
+  s.total_index_bytes = s.node_bytes + leaves_.size() * sizeof(WideLeaf) +
+                        prim_order_.size() * sizeof(std::uint32_t) +
+                        prim_aabbs_.size() * sizeof(Aabb);
   if (nodes_.empty()) return s;
-  std::uint64_t children = 0;
-  for (const WideBvhNode& n : nodes_) children += n.count;
-  s.avg_children = static_cast<double>(children) / static_cast<double>(nodes_.size());
-  return s;
-}
-
-WideBvhStats WideBvh::compressed_stats() const {
-  WideBvhStats s = stats();
-  s.node_bytes =
-      static_cast<std::uint64_t>(compressed_nodes_.size()) * sizeof(CompressedWideNode);
-  // The compressed traversal additionally owns the leaf-slot-ordered
-  // primitive snapshot its exact re-test streams through.
-  s.total_index_bytes =
-      s.node_bytes + shared_index_bytes(leaves_, prim_order_, prim_aabbs_) +
-      static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb);
+  s.avg_children = static_cast<double>(child_slots_) / static_cast<double>(nodes_.size());
   return s;
 }
 
@@ -252,6 +213,7 @@ void WideBvh::validate() const {
   std::vector<std::uint8_t> node_seen(nodes_.size(), 0);
   std::vector<std::uint8_t> leaf_seen(leaves_.size(), 0);
   std::vector<std::uint32_t> stack{root()};
+  std::uint64_t child_slots = 0;
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
@@ -261,6 +223,7 @@ void WideBvh::validate() const {
     const WideBvhNode& node = nodes_[ni];
     RTNN_CHECK(node.count >= 1 && node.count <= kWideBvhWidth,
                "wide node child count out of range");
+    child_slots += node.count;
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
       if (i >= node.count) {
         RTNN_CHECK(node.child[i] == WideBvhNode::kEmptyChild,
@@ -307,51 +270,7 @@ void WideBvh::validate() const {
   for (std::size_t l = 0; l < leaves_.size(); ++l) {
     RTNN_CHECK(leaf_seen[l], "unreachable leaf record");
   }
-
-  // Compressed mirror: same shape node-for-node, dequantized boxes contain
-  // the FP32 slot boxes (the conservativeness traversal exactness rests
-  // on), and the narrowed metadata reconstructs the full child table.
-  RTNN_CHECK(compressed_nodes_.size() == nodes_.size(),
-             "compressed mirror out of sync with the FP32 nodes");
-  for (std::size_t ni = 0; ni < nodes_.size(); ++ni) {
-    const WideBvhNode& node = nodes_[ni];
-    const CompressedWideNode& cn = compressed_nodes_[ni];
-    RTNN_CHECK(cn.count == node.count, "compressed node child count mismatch");
-    for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-      if (i >= node.count) {
-        // Inverted lane pattern; traversal masks unused slots regardless
-        // (the decoded box may degenerate to a point when 255 * 2^exp
-        // underflows against the anchor's magnitude).
-        RTNN_CHECK(cn.qlox[i] == 255 && cn.qhix[i] == 0,
-                   "compressed unused slot lanes not inverted");
-        continue;
-      }
-      const Aabb decoded = dequantize_slot(cn, i);
-      RTNN_CHECK(decoded.contains(slot_bounds(node, i)),
-                 "dequantized slot box does not contain its FP32 box");
-      const std::uint32_t child = node.child[i];
-      if (child & WideBvhNode::kLeafBit) {
-        RTNN_CHECK(cn.is_leaf_slot(i) &&
-                       cn.leaf_index(i) == (child & ~WideBvhNode::kLeafBit),
-                   "compressed leaf reference does not reconstruct");
-      } else {
-        RTNN_CHECK(!cn.is_leaf_slot(i) && cn.child_index(i) == child,
-                   "compressed interior reference does not reconstruct");
-      }
-    }
-  }
-
-  // The leaf-slot-ordered snapshot the compressed re-test streams must be
-  // an exact permuted copy of the primitive AABBs.
-  RTNN_CHECK(ordered_prim_aabbs_.size() == prim_order_.size(),
-             "ordered primitive snapshot out of sync");
-  for (std::size_t s = 0; s < prim_order_.size(); ++s) {
-    const Aabb& a = ordered_prim_aabbs_[s];
-    const Aabb& b = prim_aabbs_[prim_order_[s]];
-    RTNN_CHECK(a.lo.x == b.lo.x && a.lo.y == b.lo.y && a.lo.z == b.lo.z &&
-                   a.hi.x == b.hi.x && a.hi.y == b.hi.y && a.hi.z == b.hi.z,
-               "ordered primitive snapshot diverged from prim_aabbs");
-  }
+  RTNN_CHECK(child_slots == child_slots_, "cached child-slot total out of date");
 }
 
 }  // namespace rtnn::rt

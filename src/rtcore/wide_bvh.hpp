@@ -18,7 +18,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -60,80 +59,15 @@ struct WideLeaf {
   std::uint32_t count = 0;
 };
 
-/// The compressed mirror of a WideBvhNode: the same eight children, but
-/// each child AABB stored as 8-bit fixed-point offsets quantized against
-/// this node's own content bounds — a per-node anchor origin (3 x FP32)
-/// plus per-axis power-of-two scale exponents. Quantization is
-/// *conservative* (mins round down, maxs round up), so a dequantized box
-/// always contains its FP32 box and traversal decisions can only widen,
-/// never miss; the exact primitive AABB test downstream keeps candidate
-/// sets identical to the FP32 path.
-///
-/// Child references are narrowed to two 32-bit bases plus a per-slot
-/// ordinal: the BFS collapse allocates a node's interior children at
-/// consecutive wide-node indices and its leaf children at consecutive
-/// leaf-record indices, so `meta` only needs a leaf flag and a 3-bit
-/// ordinal. 80 bytes per node against the FP32 layout's 256 — a 3.2x
-/// shrink in traversal-touched node bytes.
-struct CompressedWideNode {
-  float anchor_x, anchor_y, anchor_z;   // quantization origin (content lo)
-  std::int8_t exp_x, exp_y, exp_z;      // per-axis scale = 2^exp
-  std::uint8_t count = 0;               // valid children, packed from slot 0
-  std::uint32_t child_base = 0;         // first interior child's node index
-  std::uint32_t leaf_base = 0;          // first leaf child's leaf index
-  std::uint8_t meta[kWideBvhWidth];     // kMetaLeaf | ordinal within its kind
-  std::uint8_t qlox[kWideBvhWidth], qloy[kWideBvhWidth], qloz[kWideBvhWidth];
-  std::uint8_t qhix[kWideBvhWidth], qhiy[kWideBvhWidth], qhiz[kWideBvhWidth];
-
-  static constexpr std::uint8_t kMetaLeaf = 0x80u;
-  static constexpr std::uint8_t kMetaOrdinal = 0x07u;
-
-  std::uint32_t valid_mask() const { return (1u << count) - 1u; }
-  bool is_leaf_slot(std::uint32_t i) const { return (meta[i] & kMetaLeaf) != 0; }
-  /// Interior slot: wide-node index of the child.
-  std::uint32_t child_index(std::uint32_t i) const {
-    return child_base + (meta[i] & kMetaOrdinal);
-  }
-  /// Leaf slot: index into WideBvh::leaves().
-  std::uint32_t leaf_index(std::uint32_t i) const {
-    return leaf_base + (meta[i] & kMetaOrdinal);
-  }
-};
-static_assert(sizeof(CompressedWideNode) == 80,
-              "compressed node must stay ~1 cache line of traversal traffic");
-
-/// 2^e as a float, for e in the quantization exponent range [-126, 127].
-/// Exact (a pure exponent-field construction), shared by the build-time
-/// quantizer and both traversal decoders so dequantized bounds are
-/// bitwise-identical everywhere.
-inline float quant_scale(std::int8_t e) {
-  return std::bit_cast<float>(static_cast<std::uint32_t>(e + 127) << 23);
-}
-
-/// Dequantizes slot `i` of a compressed node with the exact arithmetic the
-/// traversal kernels use: anchor + float(q) * 2^exp, where the product is
-/// exact (8-bit integer times a power of two) and the add rounds once.
-inline Aabb dequantize_slot(const CompressedWideNode& node, std::uint32_t i) {
-  const float sx = quant_scale(node.exp_x);
-  const float sy = quant_scale(node.exp_y);
-  const float sz = quant_scale(node.exp_z);
-  return Aabb{{node.anchor_x + static_cast<float>(node.qlox[i]) * sx,
-               node.anchor_y + static_cast<float>(node.qloy[i]) * sy,
-               node.anchor_z + static_cast<float>(node.qloz[i]) * sz},
-              {node.anchor_x + static_cast<float>(node.qhix[i]) * sx,
-               node.anchor_y + static_cast<float>(node.qhiy[i]) * sy,
-               node.anchor_z + static_cast<float>(node.qhiz[i]) * sz}};
-}
-
 struct WideBvhStats {
   std::uint32_t node_count = 0;
   std::uint32_t leaf_count = 0;
   std::uint32_t max_depth = 0;
   double avg_children = 0.0;  // mean valid children per node (fill factor * 8)
-  /// Bytes of the node array this layout's traversal touches per fetch.
+  /// Bytes of the wide node array.
   std::uint64_t node_bytes = 0;
-  /// node_bytes + the shared leaf/prim-order/prim-AABB arrays — the whole
-  /// resident index footprint of one traversal representation.
+  /// node_bytes + the leaf/prim-order/prim-AABB arrays — the whole
+  /// resident footprint of the wide traversal representation.
   std::uint64_t total_index_bytes = 0;
 };
 
@@ -167,53 +101,26 @@ class WideBvh {
   std::span<const std::uint32_t> prim_order() const { return prim_order_; }
   std::span<const Aabb> prim_aabbs() const { return prim_aabbs_; }
 
-  /// prim_aabbs() permuted into leaf-slot order: ordered_prim_aabbs()[s] is
-  /// a bitwise copy of prim_aabbs()[prim_order()[s]]. The compressed leaf
-  /// re-test reads this array so its exact-AABB fetches stream contiguously
-  /// in traversal order instead of gathering through prim_order — same
-  /// values, so candidate-set parity with the FP32 path is unaffected.
-  std::span<const Aabb> ordered_prim_aabbs() const { return ordered_prim_aabbs_; }
-
-  /// The quantized mirror of nodes(): same topology, node i here compresses
-  /// node i there. Built by build() and re-quantized by refit_from().
-  std::span<const CompressedWideNode> compressed_nodes() const {
-    return compressed_nodes_;
-  }
-
   std::uint32_t prim_count() const { return static_cast<std::uint32_t>(prim_aabbs_.size()); }
   std::uint32_t max_depth() const { return max_depth_; }
 
+  /// O(1): the search path reads it after every launch (the footprint
+  /// gauge), so nothing here may walk the node array.
   WideBvhStats stats() const;
-  /// stats() with the byte accounting of the compressed layout: 80 B/node
-  /// vs 256, plus the leaf-slot-ordered primitive snapshot the compressed
-  /// leaf re-test streams through (the leaf/order/prim arrays themselves
-  /// are shared between the two layouts).
-  WideBvhStats compressed_stats() const;
 
   /// Structural invariant check (used by tests): children packed from slot
   /// 0, every node reachable exactly once, every primitive in exactly one
   /// leaf slot, every child slot's bounds contain its subtree's primitive
-  /// AABBs. Also checks the compressed mirror: dequantized child boxes
-  /// contain the FP32 slot boxes, and reconstructed child references match
-  /// the FP32 child table. Throws rtnn::Error on failure.
+  /// AABBs. Throws rtnn::Error on failure.
   void validate() const;
 
  private:
-  /// (Re)quantizes compressed_nodes_ from nodes_; called at the end of
-  /// build() and refit_from(). Parallel over nodes.
-  void compress_nodes();
-
-  /// Rebuilds ordered_prim_aabbs_ from prim_aabbs_ and prim_order_;
-  /// called alongside compress_nodes(). Parallel over slots.
-  void refresh_ordered_prims();
-
   std::vector<WideBvhNode> nodes_;
-  std::vector<CompressedWideNode> compressed_nodes_;
   std::vector<WideLeaf> leaves_;
   std::vector<std::uint32_t> prim_order_;
   std::vector<Aabb> prim_aabbs_;
-  std::vector<Aabb> ordered_prim_aabbs_;  // prim_aabbs_ in leaf-slot order
   std::uint32_t max_depth_ = 0;
+  std::uint64_t child_slots_ = 0;  // sum of node counts; fixed by build()
   /// slot_sources_[node][slot] = binary node id whose bounds fill that
   /// slot's lanes (the collapse frontier), kept so refit_from() is a flat
   /// parallel copy. ~32 B per 256 B node.

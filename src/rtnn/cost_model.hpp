@@ -42,14 +42,6 @@ struct CostModel {
   // hardware the ratio k1:k2 is ~1:15000 (builds are cheap, IS calls run
   // on the SMs); on the CPU substrate builds are *expensive* relative to
   // IS calls, so bundling correctly merges more aggressively here.
-  //
-  // Layout note: these default constants were fit against the FP32 8-wide
-  // SoA traversal path (SearchParams::use_compressed_bvh = false
-  // reproduces that configuration). calibrate() measures whatever path
-  // its launches take — with default options that is now the compressed
-  // layout — so a freshly calibrated model is always self-consistent; the
-  // defaults merely carry the older layout's (slightly more pessimistic)
-  // per-IS-call timings, of which only the k1:k2:k3 ratios matter anyway.
   double k1 = 1.5e-7;       // BVH build per AABB
   double k2 = 6.0e-9;       // KNN IS call (sphere test + heap)
   double k3_slow = 3.0e-8;  // range IS call with sphere test

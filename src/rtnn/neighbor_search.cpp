@@ -1,6 +1,5 @@
 #include "rtnn/neighbor_search.hpp"
 
-#include <cmath>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -76,14 +75,9 @@ PartitionSet NeighborSearch::partition(std::span<const Vec3> queries,
 void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> queries,
                                   const SearchParams& params) {
   RTNN_CHECK(!points_.empty(), "set_points() before search()");
-  RTNN_CHECK(std::isfinite(params.radius) && params.radius > 0.0f,
-             "radius must be finite and positive");
+  const char* invalid = search_params_error(params);
+  RTNN_CHECK(invalid == nullptr, invalid);
   RTNN_CHECK(all_finite(queries), "query coordinates must be finite");
-  RTNN_CHECK(params.k > 0, "K must be positive");
-  RTNN_CHECK(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f,
-             "aabb_scale must be in (0, 1]");
-  RTNN_CHECK(!params.elide_sphere_test || params.mode == SearchMode::kRange,
-             "elide_sphere_test applies to range search only");
   RTNN_CHECK(!(tiling_.enabled() && params.simt_launches),
              "tiled indexes serve independent launches only; warp-lockstep "
              "characterization walks the monolithic binary BVH");

@@ -60,7 +60,6 @@ ox::LaunchOptions SearchContext::launch_options(float aabb_width) const {
   ox::LaunchOptions options;
   options.model = params.simt_launches ? ox::ExecutionModel::kWarpLockstep
                                        : ox::ExecutionModel::kIndependent;
-  options.use_compressed_bvh = params.use_compressed_bvh;
   options.aabb_half_width = 0.5f * aabb_width;
   return options;
 }
@@ -148,7 +147,11 @@ void ScheduleStage::run(SearchContext& ctx) {
 void PartitionStage::run(SearchContext& ctx) {
   RTNN_CHECK(ctx.grid != nullptr && ctx.grid_valid != nullptr,
              "PartitionStage needs the owner's grid cache");
+  // The megacell grid is Opt-phase work too: built on first use and
+  // again after every update_points().
+  Timer grid_timer;
   ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_valid);
+  ctx.report.time.opt += grid_timer.elapsed();
   ctx.partitions = partition_queries(*ctx.grid, ctx.queries, ctx.order, ctx.params);
   ctx.partitioned = true;
   ctx.report.time.opt += ctx.partitions.seconds;
@@ -269,8 +272,8 @@ void LaunchStage::run(SearchContext& ctx) {
   const std::uint32_t built_before =
       accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
   for (const Unit& unit : units) launch_unit(ctx, accel, unit);
-  // Footprint gauge: the byte cost of the node layout these launches
-  // actually traversed (SIMT launches walk the binary tree and report 0).
+  // Footprint gauge: the byte cost of the wide index these launches
+  // traversed (SIMT launches walk the binary tree and report 0).
   // Taken after the launches so a lazy tiled index reports the tiles the
   // rays actually forced resident, not the pre-launch zero.
   if (ctx.params.simt_launches) return;
@@ -279,13 +282,11 @@ void LaunchStage::run(SearchContext& ctx) {
   if (accel.is_tiled()) {
     const rt::TiledBvh& tlas = accel.tiled_bvh();
     ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
-    const rt::TiledBvhStats ts = tlas.stats(ctx.params.use_compressed_bvh);
+    const rt::TiledBvhStats ts = tlas.stats();
     node_bytes = ts.node_bytes;
     total_bytes = ts.total_index_bytes;
   } else {
-    const rt::WideBvhStats ws = ctx.params.use_compressed_bvh
-                                    ? accel.wide_bvh().compressed_stats()
-                                    : accel.wide_bvh().stats();
+    const rt::WideBvhStats ws = accel.wide_bvh().stats();
     node_bytes = ws.node_bytes;
     total_bytes = ws.total_index_bytes;
   }

@@ -1,6 +1,7 @@
 // Public configuration types of the RTNN library.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -100,14 +101,6 @@ struct SearchParams {
   /// enables divergence/occupancy counters; characterization runs only).
   bool simt_launches = false;
 
-  /// Traverse the quantized compressed wide-BVH layout on independent
-  /// launches (the production default; ~1/3 the node bytes, identical
-  /// candidate sets). Clear to traverse the FP32 SoA nodes — the
-  /// configuration the default cost-model constants were calibrated
-  /// against. Pipeline-shaping, like simt_launches: excluded from
-  /// batch_key() because it cannot change any result.
-  bool use_compressed_bvh = true;
-
   // --- Approximate search (paper section 8, "Approximate Neighbor
   // Search") ---
 
@@ -129,5 +122,22 @@ struct SearchParams {
             elide_sphere_test};
   }
 };
+
+/// The SearchParams contract every entry point enforces
+/// (NeighborSearch::search() and SearchService::submit()): why `params`
+/// is refused, or nullptr when it is accepted.
+inline const char* search_params_error(const SearchParams& params) {
+  if (!(std::isfinite(params.radius) && params.radius > 0.0f)) {
+    return "radius must be finite and positive";
+  }
+  if (params.k == 0) return "K must be positive";
+  if (!(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f)) {
+    return "aabb_scale must be in (0, 1]";
+  }
+  if (params.elide_sphere_test && params.mode != SearchMode::kRange) {
+    return "elide_sphere_test applies to range search only";
+  }
+  return nullptr;
+}
 
 }  // namespace rtnn

@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -489,8 +488,8 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
                                                const RequestOptions& options) {
   RTNN_CHECK(!queries.empty(), "a request needs queries");
   require_finite(queries, "submit");
-  if (!(std::isfinite(params.radius) && params.radius > 0.0f)) {
-    throw ServiceError(RejectReason::kInvalid, "submit: radius must be finite and positive");
+  if (const char* invalid = search_params_error(params)) {
+    throw ServiceError(RejectReason::kInvalid, std::string("submit: ") + invalid);
   }
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
                                           "service is shut down");

@@ -85,10 +85,9 @@ TEST(MemoryHierarchySim, L2CatchesL1Misses) {
 }
 
 TEST(MemoryHierarchySim, AccessRangeTouchesEveryCoveredLine) {
-  // 128 B L1 lines: the line-accounting the node-layout comparison rests
-  // on. A 256 B FP32 wide node spans 2 lines; an 80 B compressed node
-  // spans 1 (when aligned); a small range straddling a boundary spans 2;
-  // an empty range touches nothing.
+  // 128 B L1 lines: the line accounting of multi-line fetches. A 256 B
+  // wide node spans 2 lines; an aligned 80 B object spans 1; a small
+  // range straddling a boundary spans 2; an empty range touches nothing.
   const CacheConfig l1{2048, 128, 2};
   const CacheConfig l2{16 * 1024, 128, 4};
   {

@@ -318,10 +318,9 @@ TEST(Differential, LaunchWidthMatchesRefitToWidth) {
   // built on the bare points must make exactly the decisions the same
   // index makes after a refit to the width-2h cubes, launched at h = 0.
   // FP32 rounding is monotone, so the grown bounds are bitwise the refit
-  // bounds. Binary, FP32-wide and warp-lockstep walks must agree on the
-  // IS-call sequence and the node/box/IS counters; the compressed layout
-  // quantizes bare and grown bounds differently, and the tiled walk orders
-  // tiles its own way, so those two must agree on candidate sets.
+  // bounds. Binary, wide and warp-lockstep walks must agree on the IS-call
+  // sequence and the node/box/IS counters; the tiled walk orders tiles its
+  // own way, so it must agree on candidate sets.
   for (const Trial& trial : all_trials()) {
     const std::string label =
         trial.generator + " seed=" + std::to_string(trial.seed);
@@ -362,7 +361,7 @@ TEST(Differential, LaunchWidthMatchesRefitToWidth) {
     const auto binary = trace_log(refit, rays, at_zero);
     expect_exact(trace_log(bare, rays, at_h), binary, "binary");
     expect_exact(trace_log(bare_wide, rays, at_h), trace_log(refit_wide, rays, at_zero),
-                 "fp32 wide");
+                 "wide");
     rt::TraceConfig warp_h = at_h;
     warp_h.model = rt::ExecutionModel::kWarpLockstep;
     rt::TraceConfig warp_zero = at_zero;
@@ -370,23 +369,13 @@ TEST(Differential, LaunchWidthMatchesRefitToWidth) {
     expect_exact(trace_log(bare, rays, warp_h), trace_log(refit, rays, warp_zero),
                  "warp lockstep");
 
-    const auto expected_sets = binary.first.sets();
-    rt::TraceConfig compressed_h = at_h;
-    compressed_h.use_compressed = true;
-    EXPECT_EQ(trace_log(bare_wide, rays, compressed_h).first.sets(), expected_sets)
-        << "compressed";
 
     ShardPlan plan = plan_shards(trial.points, 8);
     std::vector<std::vector<std::uint32_t>> tile_ids;
     for (ShardPlan::Shard& shard : plan.shards) tile_ids.push_back(std::move(shard.point_ids));
     rt::TiledBvh tiled;
     tiled.build(trial.points, tile_ids);
-    for (const bool compressed : {false, true}) {
-      rt::TraceConfig tiled_h = at_h;
-      tiled_h.use_compressed = compressed;
-      EXPECT_EQ(trace_log(tiled, rays, tiled_h).first.sets(), expected_sets)
-          << (compressed ? "tiled compressed" : "tiled fp32");
-    }
+    EXPECT_EQ(trace_log(tiled, rays, at_h).first.sets(), binary.first.sets()) << "tiled";
   }
 }
 

@@ -173,13 +173,11 @@ struct CollectPipeline {
 
 std::vector<std::vector<std::uint32_t>> collect_hits(const ox::Accel& accel,
                                                      std::span<const Vec3> queries,
-                                                     bool use_wide,
-                                                     bool use_compressed = false) {
+                                                     bool use_wide) {
   std::vector<std::vector<std::uint32_t>> hits(queries.size());
   CollectPipeline pipeline{queries, &hits};
   ox::LaunchOptions options;
   options.use_wide_bvh = use_wide;
-  options.use_compressed_bvh = use_compressed;
   ox::launch(accel, pipeline, static_cast<std::uint32_t>(queries.size()), options);
   for (auto& h : hits) std::sort(h.begin(), h.end());
   return hits;
@@ -208,16 +206,9 @@ TEST(AccelRefit, RefitAndRebuildSeeIdenticalCandidateSets) {
     EXPECT_EQ(collect_hits(refitted, queries, /*use_wide=*/true),
               collect_hits(fresh, queries, /*use_wide=*/true))
         << label << "/wide";
-    EXPECT_EQ(collect_hits(refitted, queries, true, /*use_compressed=*/true),
-              collect_hits(fresh, queries, true, /*use_compressed=*/true))
-        << label << "/compressed";
-    // All three representations of the refitted accel agree with each other
-    // (compressed = refit-then-requantized mirror).
+    // Both representations of the refitted accel agree with each other.
     EXPECT_EQ(collect_hits(refitted, queries, false), collect_hits(refitted, queries, true))
         << label << "/refit binary-vs-wide";
-    EXPECT_EQ(collect_hits(refitted, queries, true, false),
-              collect_hits(refitted, queries, true, true))
-        << label << "/refit wide-vs-compressed";
   }
 }
 

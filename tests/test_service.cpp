@@ -7,7 +7,9 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/failpoint.hpp"
@@ -776,6 +778,53 @@ TEST(ErrorContract, NonFiniteInputIsRefusedTyped) {
   // The refused update published nothing: version 0 still answers.
   const RequestOutcome outcome = service.query(handle, queries, params);
   EXPECT_EQ(outcome.snapshot_version, 0u);
+  EXPECT_EQ(outcome.result.num_queries(), queries.size());
+}
+
+TEST(ErrorContract, SearchParamsOutsideTheContractAreRefusedAtSubmit) {
+  // Parameters NeighborSearch::search() refuses (K = 0, aabb_scale outside
+  // (0, 1], the sphere-test elision outside range mode) are refused at the
+  // submit() door with kInvalid — never admitted, queued and then failed
+  // as a backend error — and the engine refuses exactly the same set.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 400, kSeed);
+  const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 8);
+  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
+
+  std::vector<std::pair<std::string, SearchParams>> refused;
+  SearchParams bad = params;
+  bad.k = 0;
+  refused.emplace_back("k=0", bad);
+  for (const float scale : {0.0f, -0.5f, 2.0f, kNan}) {
+    bad = params;
+    bad.aabb_scale = scale;
+    refused.emplace_back("aabb_scale=" + std::to_string(scale), bad);
+  }
+  bad = params;
+  bad.elide_sphere_test = true;
+  refused.emplace_back("elide_sphere_test in knn mode", bad);
+
+  SearchService service;
+  const CloudHandle handle = service.register_cloud("clean", cloud);
+  NeighborSearch engine;
+  engine.set_points(cloud);
+  for (const auto& [label, p] : refused) {
+    try {
+      (void)service.submit(handle, queries, p);
+      ADD_FAILURE() << label << ": submit must throw";
+    } catch (const ServiceError& error) {
+      EXPECT_EQ(error.reason(), RejectReason::kInvalid) << label;
+    }
+    EXPECT_THROW((void)engine.search(queries, p), Error) << label;
+  }
+  EXPECT_EQ(service.stats(handle).requests, 0u) << "a refused request is never dispatched";
+
+  // The contract's edges are accepted: aabb_scale = 1 and the elision in
+  // range mode.
+  SearchParams edge = params;
+  edge.mode = SearchMode::kRange;
+  edge.elide_sphere_test = true;
+  const RequestOutcome outcome = service.query(handle, queries, edge);
   EXPECT_EQ(outcome.result.num_queries(), queries.size());
 }
 

@@ -71,7 +71,7 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
   EXPECT_EQ(tlas.prim_count(), points.size());
   EXPECT_EQ(tlas.top().prim_count(), 8u) << "one top-level prim per tile";
 
-  const rt::TiledBvhStats stats = tlas.stats(/*compressed=*/true);
+  const rt::TiledBvhStats stats = tlas.stats();
   EXPECT_EQ(stats.tile_count, 8u);
   EXPECT_EQ(stats.built_tiles, 8u);
   EXPECT_GT(stats.node_bytes, 0u);
@@ -91,7 +91,7 @@ TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
   // The exactness claim at the rt:: level: the TLAS walk over the bare
   // points, launched at half the width, must surface the byte-identical
   // candidate set (same global prim ids) the monolithic walk over the
-  // width's cubes surfaces, compressed and uncompressed alike.
+  // width's cubes surfaces.
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 5000, 7);
   const float width = 2.5f;
 
@@ -115,16 +115,12 @@ TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
   Collector expected(queries.size());
   rt::trace(wide, rays, expected);
 
-  for (const bool compressed : {false, true}) {
-    SCOPED_TRACE(compressed ? "compressed" : "fp32");
-    rt::TraceConfig config;
-    config.use_compressed = compressed;
-    config.aabb_half_width = 0.5f * width;
-    Collector got(queries.size());
-    rt::trace(tlas, rays, got, config);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_EQ(got.hits[q], expected.hits[q]) << "query " << q;
-    }
+  rt::TraceConfig config;
+  config.aabb_half_width = 0.5f * width;
+  Collector got(queries.size());
+  rt::trace(tlas, rays, got, config);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(got.hits[q], expected.hits[q]) << "query " << q;
   }
 }
 
@@ -138,8 +134,8 @@ TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
 
   EXPECT_EQ(tlas.built_tile_count(), 0u) << "lazy build defers every BLAS";
   // No BLAS bytes are resident yet; the total is just the small top tree.
-  EXPECT_EQ(tlas.stats(true).node_bytes, 0u);
-  const std::uint64_t top_bytes = tlas.stats(true).total_index_bytes;
+  EXPECT_EQ(tlas.stats().node_bytes, 0u);
+  const std::uint64_t top_bytes = tlas.stats().total_index_bytes;
   EXPECT_GT(top_bytes, 0u);
 
   // Rays confined to one corner of the scene must force only the tiles

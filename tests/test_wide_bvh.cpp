@@ -1,12 +1,14 @@
 // WideBvh collapse invariants and binary-vs-wide traversal parity: the
 // wall-clock 8-wide path must find exactly the primitives the binary
 // simulation path finds, whichever of the AVX2 / scalar node tests this
-// build selected.
+// build selected — on regular clouds and on the degenerate shapes
+// (coincident, collinear, planar, extreme-scale, clustered).
 #include "rtcore/wide_bvh.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/flat_knn.hpp"
@@ -26,15 +28,95 @@ struct Scene {
   WideBvh wide;
 };
 
-Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
-                 std::uint32_t leaf_size = 1) {
+Scene build_scene(std::vector<Vec3> points, float width, std::uint32_t leaf_size = 1) {
   Scene scene;
-  scene.points = rtnn::testing::make_cloud(kind, n, seed);
+  scene.points = std::move(points);
   scene.aabbs.reserve(scene.points.size());
   for (const Vec3& p : scene.points) scene.aabbs.push_back(Aabb::cube(p, width));
   scene.bvh.build(scene.aabbs, BvhBuildOptions{leaf_size});
   scene.wide.build(scene.bvh);
   return scene;
+}
+
+Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
+                 std::uint32_t leaf_size = 1) {
+  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width, leaf_size);
+}
+
+// Degenerate point sets mirroring the generator shapes of
+// test_differential.cpp (that file's generators live in its anonymous
+// namespace): coincident sites, exactly collinear, exactly planar, large
+// coordinate magnitudes, and isolated dense clusters.
+struct DegenerateSet {
+  std::string name;
+  std::vector<Vec3> points;
+  float radius;
+};
+
+std::vector<DegenerateSet> degenerate_sets(std::uint64_t seed) {
+  constexpr std::size_t kN = 384;
+  std::vector<DegenerateSet> sets;
+  {
+    Pcg32 rng(seed);
+    DegenerateSet s{.name = "coincident", .points = {}, .radius = 0.05f};
+    std::vector<Vec3> sites;
+    for (int i = 0; i < 12; ++i) {
+      sites.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      s.points.push_back(sites[rng.next_bounded(static_cast<std::uint32_t>(sites.size()))]);
+    }
+    sets.push_back(std::move(s));
+  }
+  {
+    Pcg32 rng(seed + 1);
+    DegenerateSet s{.name = "collinear", .points = {}, .radius = 0.04f};
+    const Vec3 origin{rng.next_float(), rng.next_float(), rng.next_float()};
+    const Vec3 dir{1.0f, 0.5f, -0.25f};
+    for (std::size_t i = 0; i < kN; ++i) {
+      const float t = rng.next_float();
+      s.points.push_back({origin.x + t * dir.x, origin.y + t * dir.y, origin.z + t * dir.z});
+    }
+    s.points[5] = s.points[4];
+    sets.push_back(std::move(s));
+  }
+  {
+    Pcg32 rng(seed + 2);
+    DegenerateSet s{.name = "planar", .points = {}, .radius = 0.12f};
+    const float z = rng.next_float();
+    for (std::size_t i = 0; i < kN; ++i) {
+      s.points.push_back({rng.next_float(), rng.next_float(), z});
+    }
+    sets.push_back(std::move(s));
+  }
+  {
+    Pcg32 rng(seed + 3);
+    DegenerateSet s{.name = "extreme", .points = {}, .radius = 1.0e6f * 1.5e-4f};
+    const float scale = 1.0e6f;
+    for (std::size_t i = 0; i < kN; ++i) {
+      s.points.push_back({scale + scale * 0.001f * rng.next_float(),
+                          -scale + scale * 0.001f * rng.next_float(),
+                          scale * 0.001f * rng.next_float()});
+    }
+    sets.push_back(std::move(s));
+  }
+  {
+    Pcg32 rng(seed + 4);
+    DegenerateSet s{.name = "clustered", .points = {}, .radius = 0.08f};
+    std::vector<Vec3> centers;
+    for (int c = 0; c < 6; ++c) {
+      centers.push_back(
+          {10.0f * rng.next_float(), 10.0f * rng.next_float(), 10.0f * rng.next_float()});
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      const Vec3& c = centers[rng.next_bounded(static_cast<std::uint32_t>(centers.size()))];
+      s.points.push_back({c.x + 0.1f * (rng.next_float() - 0.5f),
+                          c.y + 0.1f * (rng.next_float() - 0.5f),
+                          c.z + 0.1f * (rng.next_float() - 0.5f)});
+    }
+    sets.push_back(std::move(s));
+  }
+  return sets;
 }
 
 /// Records every primitive the IS stage sees, per ray.
@@ -236,6 +318,94 @@ TEST(WideBvh, NodeTestMatchesScalarSemantics) {
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
       EXPECT_EQ((mask >> i) & 1u, ray_intersects_aabb(ray, boxes[i].expanded(h)) ? 1u : 0u)
           << "iter " << iter << " slot " << i;
+    }
+  }
+}
+
+/// The degenerate shapes, built the two ways production builds them: over
+/// boxes of width 2r searched at h = 0, and over the bare points searched
+/// at launch half-width h = r. Either way the wide walk must hand the IS
+/// shader exactly the binary walk's candidates, for the points themselves
+/// and for probes scattered around the set.
+TEST(WideBvh, DegenerateSetsParityWithBinary) {
+  for (auto& set : degenerate_sets(0xbeefu)) {
+    const float r = set.radius;
+    Pcg32 rng(51);
+    std::vector<Vec3> queries = set.points;
+    Aabb domain;
+    for (const Vec3& p : set.points) domain.grow(p);
+    domain = domain.expanded(r);
+    for (int i = 0; i < 200; ++i) queries.push_back(rng.uniform_in_aabb(domain));
+    const auto rays = short_rays(queries);
+
+    for (const float h : {0.0f, r}) {
+      SCOPED_TRACE(set.name + (h == 0.0f ? " boxes at h=0" : " bare points at h=r"));
+      for (const std::uint32_t leaf_size : {1u, 4u}) {
+        const Scene scene = build_scene(set.points, h == 0.0f ? 2.0f * r : 0.0f, leaf_size);
+        ASSERT_NO_THROW(scene.wide.validate()) << "leaf_size=" << leaf_size;
+        TraceConfig config;
+        config.aabb_half_width = h;
+        Collector binary(queries.size());
+        trace(scene.bvh, rays, binary, config);
+        Collector wide(queries.size());
+        trace(scene.wide, rays, wide, config);
+        ASSERT_EQ(wide.hits, binary.hits) << "leaf_size=" << leaf_size;
+      }
+    }
+  }
+}
+
+/// This build's wide_node_hits (AVX2 or scalar) against the scalar
+/// grow-then-test reference on the real nodes of every degenerate tree,
+/// at h = 0 and h > 0: coincident boxes, zero-extent axes and 1e6-scale
+/// coordinates are where a vector rounding slip would show.
+TEST(WideBvh, DegenerateNodeTestMatchesScalarSemantics) {
+  for (auto& set : degenerate_sets(0xc0deu)) {
+    SCOPED_TRACE(set.name);
+    const float r = set.radius;
+    const Scene scene = build_scene(std::move(set.points), 0.0f);
+    const auto nodes = scene.wide.nodes();
+    ASSERT_FALSE(nodes.empty());
+    const Aabb domain = scene.bvh.scene_bounds().expanded(r);
+    Pcg32 rng(99);
+    for (int iter = 0; iter < 400; ++iter) {
+      const WideBvhNode& node =
+          nodes[rng.next_bounded(static_cast<std::uint32_t>(nodes.size()))];
+      const auto slot_box = [&](std::uint32_t i) {
+        return Aabb{{node.minx[i], node.miny[i], node.minz[i]},
+                    {node.maxx[i], node.maxy[i], node.maxz[i]}};
+      };
+      Ray ray;
+      switch (iter % 4) {
+        case 0:
+          ray = Ray::short_ray(scene.points[rng.next_bounded(
+              static_cast<std::uint32_t>(scene.points.size()))]);
+          break;
+        case 1:
+          ray = Ray::short_ray(rng.uniform_in_aabb(domain));
+          break;
+        case 2:
+          ray.origin = rng.uniform_in_aabb(domain);
+          ray.dir = Vec3{0.0f, 0.0f, iter % 8 < 4 ? 1.0f : -1.0f};
+          ray.tmax = r;
+          break;
+        default: {
+          // Origin pinned to a slot face: 0 * inf NaNs in the slab.
+          const Aabb box = slot_box(0);
+          ray.origin = Vec3{box.lo.x, box.lo.y, box.hi.z};
+          ray.dir = Vec3{1.0f, 0.0f, 0.0f};
+          ray.tmax = r;
+          break;
+        }
+      }
+      const Vec3 inv_dir = reciprocal_dir(ray);
+      const float h = iter % 2 == 0 ? 0.0f : r * rng.next_float();
+      const std::uint32_t mask = detail::wide_node_hits(node, ray, inv_dir, h);
+      for (std::uint32_t i = 0; i < node.count; ++i) {
+        EXPECT_EQ((mask >> i) & 1u,
+                  ray_intersects_aabb(ray, slot_box(i).expanded(h), inv_dir) ? 1u : 0u)
+            << "iter " << iter << " slot " << i;
+      }
     }
   }
 }
