@@ -19,20 +19,21 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
   const float pad = std::max(1e-6f, 1e-5f * max_component(bounds_.extent()));
   bounds_ = bounds_.expanded(pad);
 
-  // Enlarge cells until the grid fits the memory budget.
+  // Enlarge cells until the grid fits the memory budget. The cell count is
+  // formed in double: one far outlier can ask for more cells per axis
+  // than any integer type holds. The budget is also capped per point, or
+  // that outlier sizes a few hundred points' grid to the full max_cells.
+  max_cells = std::min(max_cells, kMaxCellsPerPoint * points.size());
   cell_size_ = cell_size;
   const Vec3 extent = bounds_.extent();
-  for (;;) {
-    std::uint64_t total = 1;
-    for (int axis = 0; axis < 3; ++axis) {
-      const auto n = static_cast<std::uint64_t>(
-          std::max(1.0f, std::ceil(extent[axis] / cell_size_)));
-      res_[axis] = static_cast<int>(n);
-      total *= n;
-    }
-    if (total <= max_cells) break;
+  const auto cells_along = [&](int axis) {
+    return std::max(1.0f, std::ceil(extent[axis] / cell_size_));
+  };
+  while (static_cast<double>(cells_along(0)) * cells_along(1) * cells_along(2) >
+         static_cast<double>(max_cells)) {
     cell_size_ *= 1.5f;
   }
+  for (int axis = 0; axis < 3; ++axis) res_[axis] = static_cast<int>(cells_along(axis));
 
   const std::uint64_t cells = static_cast<std::uint64_t>(res_.x) *
                               static_cast<std::uint64_t>(res_.y) *
@@ -62,10 +63,10 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
 Int3 UniformGrid::cell_of(const Vec3& p) const {
   Int3 c;
   for (int axis = 0; axis < 3; ++axis) {
+    // Clamped before the cast: queries may lie arbitrarily far outside.
     const float t = (p[axis] - bounds_.lo[axis]) / cell_size_;
-    int v = static_cast<int>(std::floor(t));
-    v = std::clamp(v, 0, res_[axis] - 1);
-    c[axis] = v;
+    c[axis] = static_cast<int>(
+        std::clamp(std::floor(t), 0.0f, static_cast<float>(res_[axis] - 1)));
   }
   return c;
 }

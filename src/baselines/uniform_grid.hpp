@@ -18,9 +18,12 @@ namespace rtnn::baselines {
 
 class UniformGrid {
  public:
+  static constexpr std::uint64_t kMaxCellsPerPoint = 4096;
+
   /// Bins `points` into cells of width `cell_size`. If the implied
-  /// resolution would exceed `max_cells`, the cell size is enlarged (the
-  /// same memory-capacity guard the GPU implementations apply).
+  /// resolution would exceed `max_cells` (or kMaxCellsPerPoint cells per
+  /// point), the cell size is enlarged (the same memory-capacity guard the
+  /// GPU implementations apply).
   void build(std::span<const Vec3> points, float cell_size,
              std::uint64_t max_cells = std::uint64_t{1} << 27);
 

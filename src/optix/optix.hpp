@@ -210,6 +210,15 @@ concept HasClosestHit = requires(P p, std::uint32_t ray) { p.closest_hit(ray); }
 template <typename P>
 concept HasMiss = requires(P p, std::uint32_t ray) { p.miss(ray); };
 
+/// Optional per-ray cull half-width (rt::NarrowingProgram): the launch
+/// tests a ray's later boxes at min(aabb_half_width, cull). No OptiX
+/// program group matches it; it plays the role of a reported hit lowering
+/// a ray's tmax.
+template <typename P>
+concept HasCullHalfWidth = requires(const P p, std::uint32_t ray) {
+  { p.cull_half_width(ray) } -> std::same_as<float>;
+};
+
 template <typename P>
 concept PipelineShaders = RayGenShader<P> && IntersectionShader<P>;
 
@@ -248,6 +257,14 @@ struct ProgramAdapter {
   TraceAction intersect(std::uint32_t ray_id, std::uint32_t prim_id) {
     if (is_invoked) (*is_invoked)[ray_id] = 1;
     return pipeline.intersection(ray_id, prim_id);
+  }
+
+  // Declared only for pipelines that cull, so the others compile to walks
+  // that never narrow.
+  float cull_half_width(std::uint32_t ray_id) const
+    requires HasCullHalfWidth<P>
+  {
+    return pipeline.cull_half_width(ray_id);
   }
 };
 

@@ -30,6 +30,13 @@
 // the bounds the same tree holds after a refit to Aabb::cube(p, 2h); h = 0
 // tests the stored boxes as they are.
 //
+// A program may also narrow its rays (NarrowingProgram): the independent
+// walks re-read its per-ray cull half-width after every IS call and test
+// every later box at min(h, cull), and the wide walk then handles a
+// node's hits nearest-first so the cull falls early. The warp-lockstep
+// model keeps the launch width: RT hardware cannot shrink a ray's boxes
+// mid-traversal, and its counters are the hardware figures.
+//
 // Stats are accumulated in per-worker slots (StatsAccumulator) and summed
 // once per launch — no locks on the hot path.
 //
@@ -41,7 +48,9 @@
 // stop at the first hit).
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,9 +80,8 @@ struct TraceConfig {
   /// experiments (one shared memory hierarchy).
   bool parallel = true;
   /// Attach the cache simulator to node/primitive fetches. Supported by
-  /// the warp-lockstep model (the paper-characterization path) and by the
-  /// wide-BVH independent overload, where it models the 256 B wide node's
-  /// real byte footprint. Adds overhead; meant for characterization runs.
+  /// the warp-lockstep model only (the paper-characterization path). Adds
+  /// overhead; meant for characterization runs.
   bool simulate_caches = false;
   CacheConfig l1{64 * 1024, 128, 4};
   CacheConfig l2{4 * 1024 * 1024, 128, 16};
@@ -92,7 +100,27 @@ struct TraceConfig {
 #define RTNN_PREFETCH(addr) ((void)0)
 #endif
 
+/// A program that narrows its rays: cull_half_width(ray) bounds, per axis,
+/// how far from the ray's origin a primitive can lie and still matter to
+/// the ray (+inf until the program knows such a bound). It may only fall
+/// as the ray's IS calls proceed.
+template <typename Program>
+concept NarrowingProgram = requires(const Program& program, std::uint32_t ray) {
+  { program.cull_half_width(ray) } -> std::same_as<float>;
+};
+
 namespace detail {
+
+/// The half-width a ray's next box test uses: the launch's h, or the
+/// program's cull once that is smaller. Constant h for other programs.
+template <typename Program>
+float narrowed_half_width(const Program& program, std::uint32_t ray_id, float h) {
+  if constexpr (NarrowingProgram<Program>) {
+    return std::min(h, program.cull_half_width(ray_id));
+  } else {
+    return h;
+  }
+}
 
 constexpr std::uint32_t kMaxStackDepth = 128;
 /// The wide stack holds up to (width-1) net pushes per level.
@@ -103,12 +131,6 @@ constexpr std::uint32_t kWarpSize = 32;
 constexpr std::uint64_t kNodeStride = 64;
 constexpr std::uint64_t kPrimRegionBase = std::uint64_t{1} << 40;
 constexpr std::uint64_t kPrimStride = 32;
-// Two-level traversal: the top-level tree's nodes live in their own
-// region, and each tile's bottom-level arrays are offset by the tile's
-// slice of the address space, so the simulator sees distinct tiles as the
-// distinct allocations they are (per-tile working-set bytes stay honest).
-constexpr std::uint64_t kTlasRegionBase = std::uint64_t{1} << 42;
-constexpr std::uint64_t kTileRegionStride = std::uint64_t{1} << 33;
 
 /// Per-ray traversal state for the lockstep engine.
 struct LaneState {
@@ -120,21 +142,35 @@ struct LaneState {
   bool active() const { return !terminated && sp > 0; }
 };
 
+/// The warp-lockstep model's view of a program: the IS shader alone, so
+/// the lockstep walk never narrows (see the file comment).
+template <typename Program>
+struct FixedWidth {
+  Program& inner;
+
+  TraceAction intersect(std::uint32_t ray_id, std::uint32_t prim) {
+    return inner.intersect(ray_id, prim);
+  }
+};
+
+/// Tests a binary leaf's primitives at `hw` and runs the IS shader on the
+/// hits; `hw` narrows from the launch's `h` after every IS call.
 template <typename Program>
 TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray, float h,
-                         std::uint32_t ray_id, Program& program, LaunchStats* stats,
-                         MemoryHierarchy* mem) {
+                         float& hw, std::uint32_t ray_id, Program& program,
+                         LaunchStats* stats, MemoryHierarchy* mem) {
   const auto prim_order = bvh.prim_order();
   const auto prim_aabbs = bvh.prim_aabbs();
   for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
     const std::uint32_t prim = prim_order[s];
     if (mem) mem->access(kPrimRegionBase + prim * kPrimStride);
     if (stats) ++stats->aabb_tests;
-    if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(h))) continue;
+    if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(hw))) continue;
     if (stats) ++stats->is_calls;
     if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
       return TraceAction::kTerminate;
     }
+    hw = narrowed_half_width(program, ray_id, h);
   }
   return TraceAction::kContinue;
 }
@@ -148,15 +184,16 @@ void trace_one(const Bvh& bvh, const Ray& ray, float h, std::uint32_t ray_id,
   std::uint32_t sp = 0;
   stack[sp++] = bvh.root();
   const auto nodes = bvh.nodes();
+  float hw = narrowed_half_width(program, ray_id, h);
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
     if (stats) {
       ++stats->node_visits;
       ++stats->aabb_tests;
     }
-    if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
+    if (!ray_intersects_aabb(ray, node.bounds.expanded(hw))) continue;
     if (node.is_leaf()) {
-      if (process_leaf(bvh, node, ray, h, ray_id, program, stats, nullptr) ==
+      if (process_leaf(bvh, node, ray, h, hw, ray_id, program, stats, nullptr) ==
           TraceAction::kTerminate) {
         if (stats) ++stats->terminated_rays;
         return;
@@ -236,10 +273,33 @@ inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
 }
 #endif
 
+/// Writes the slots set in `mask` to `order` nearest-first: ascending
+/// squared gap between `origin` and the slot's stored box, ties in slot
+/// order. Returns how many were written.
+inline std::uint32_t nearest_first(const WideBvhNode& node, const Vec3& origin,
+                                   std::uint32_t mask, std::uint32_t* order) {
+  float key[kWideBvhWidth];
+  std::uint32_t n = 0;
+  while (mask != 0) {
+    const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
+    mask &= mask - 1;
+    const float dx = std::max({node.minx[slot] - origin.x, origin.x - node.maxx[slot], 0.0f});
+    const float dy = std::max({node.miny[slot] - origin.y, origin.y - node.maxy[slot], 0.0f});
+    const float dz = std::max({node.minz[slot] - origin.z, origin.z - node.maxz[slot], 0.0f});
+    const float gap2 = dx * dx + dy * dy + dz * dz;
+    std::uint32_t i = n++;
+    for (; i > 0 && key[i - 1] > gap2; --i) {
+      key[i] = key[i - 1];
+      order[i] = order[i - 1];
+    }
+    key[i] = gap2;
+    order[i] = slot;
+  }
+  return n;
+}
+
 /// Single-ray traversal of the 8-wide SoA BVH. `stack` is the caller's
-/// reusable per-thread buffer (kWideStackDepth entries). `mem`, when
-/// non-null, replays node/primitive fetches through the cache simulator at
-/// this layout's real byte footprint.
+/// reusable per-thread buffer (kWideStackDepth entries).
 ///
 /// Inner-loop micro-optimizations:
 ///  * after each pop, the next stack entry's node line is prefetched — by
@@ -249,63 +309,68 @@ inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
 ///    pops proceed in ascending slot order — the BFS build allocates a
 ///    parent's children at consecutive indices, making consecutive pops
 ///    walk consecutive node addresses.
-/// `mem_base` shifts every simulated address by a caller-chosen offset —
-/// 0 for the monolithic index (byte-identical to before), or the tile's
-/// region (kTileRegionStride slice) when this walk runs as a BLAS under
-/// the two-level traversal, so distinct tiles' arrays never alias.
+/// A NarrowingProgram instead handles a node's hits nearest-first: leaves
+/// in that order, and the nearest interior child is popped first.
 template <typename Program>
 void trace_one_wide(const WideBvh& bvh, const Ray& ray, float h, std::uint32_t ray_id,
-                    Program& program, LaunchStats* stats, std::uint32_t* stack,
-                    MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
+                    Program& program, LaunchStats* stats, std::uint32_t* stack) {
   const auto nodes = bvh.nodes();
   const auto leaves = bvh.leaves();
   const auto prim_order = bvh.prim_order();
   const auto prim_aabbs = bvh.prim_aabbs();
   const Vec3 inv_dir = reciprocal_dir(ray);
+  float hw = narrowed_half_width(program, ray_id, h);
   std::uint32_t sp = 0;
   stack[sp++] = bvh.root();
   while (sp > 0) {
     const std::uint32_t node_id = stack[--sp];
     if (sp > 0) RTNN_PREFETCH(&nodes[stack[sp - 1]]);
     const WideBvhNode& node = nodes[node_id];
-    if (mem) {
-      mem->access_range(mem_base + node_id * sizeof(WideBvhNode),
-                        sizeof(WideBvhNode));
-    }
     if (stats) {
       ++stats->node_visits;
       stats->aabb_tests += node.count;
     }
-    std::uint32_t mask = wide_node_hits(node, ray, inv_dir, h) & node.valid_mask();
+    std::uint32_t mask = wide_node_hits(node, ray, inv_dir, hw) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
-    while (mask != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
-      mask &= mask - 1;
+    // Buffers an interior child or runs a leaf's primitives through the
+    // IS shader; false once the ray terminated.
+    const auto visit = [&](std::uint32_t slot) {
       const std::uint32_t child = node.child[slot];
-      if (child & WideBvhNode::kLeafBit) {
-        const WideLeaf leaf = leaves[child & ~WideBvhNode::kLeafBit];
-        // Single-primitive leaves (the RTNN configuration) were already
-        // tested: the slot box *is* the primitive's AABB. Wider leaves
-        // re-test each primitive against the ray like the binary path.
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          const std::uint32_t prim = prim_order[s];
-          if (leaf.count > 1) {
-            if (mem) {
-              mem->access_range(mem_base + kPrimRegionBase + prim * kPrimStride,
-                                sizeof(Aabb));
-            }
-            if (stats) ++stats->aabb_tests;
-            if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(h), inv_dir)) continue;
-          }
-          if (stats) ++stats->is_calls;
-          if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-            if (stats) ++stats->terminated_rays;
-            return;
-          }
-        }
-      } else {
+      if (!(child & WideBvhNode::kLeafBit)) {
         pushes[n_push++] = child;
+        return true;
+      }
+      const WideLeaf leaf = leaves[child & ~WideBvhNode::kLeafBit];
+      // Single-primitive leaves (the RTNN configuration) were already
+      // tested: the slot box *is* the primitive's AABB. Wider leaves
+      // re-test each primitive against the ray like the binary path.
+      for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
+        const std::uint32_t prim = prim_order[s];
+        if (leaf.count > 1) {
+          if (stats) ++stats->aabb_tests;
+          if (!ray_intersects_aabb(ray, prim_aabbs[prim].expanded(hw), inv_dir)) continue;
+        }
+        if (stats) ++stats->is_calls;
+        if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
+          if (stats) ++stats->terminated_rays;
+          return false;
+        }
+        hw = narrowed_half_width(program, ray_id, h);
+      }
+      return true;
+    };
+    if constexpr (NarrowingProgram<Program>) {
+      std::uint32_t order[kWideBvhWidth];
+      const std::uint32_t n_hits = nearest_first(node, ray.origin, mask, order);
+      for (std::uint32_t i = 0; i < n_hits; ++i) {
+        if (!visit(order[i])) return;
+      }
+    } else {
+      while (mask != 0) {
+        const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        if (!visit(slot)) return;
       }
     }
     RTNN_DCHECK(sp + n_push <= kWideStackDepth, "wide traversal stack overflow");
@@ -318,7 +383,8 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, float h, std::uint32_t r
 /// remaps them through the tile's id list before forwarding. kTerminate
 /// is latched so the TLAS walk can stop popping top-level nodes — the
 /// inner walk already returned, and its stats (including
-/// terminated_rays) were counted exactly once.
+/// terminated_rays) were counted exactly once. A narrowing program's cull
+/// is per ray and passes through unchanged.
 template <typename Program>
 struct TileProgram {
   Program& inner;
@@ -330,6 +396,12 @@ struct TileProgram {
     if (action == TraceAction::kTerminate) terminated = true;
     return action;
   }
+
+  float cull_half_width(std::uint32_t ray_id) const
+    requires NarrowingProgram<Program>
+  {
+    return inner.cull_half_width(ray_id);
+  }
 };
 
 /// Single-ray two-level traversal: a binary stack walk of the top tree
@@ -340,11 +412,12 @@ struct TileProgram {
 /// tiles the ray provably misses — and tiles partition the primitives, so
 /// the union of per-tile candidates is exactly the monolithic candidate
 /// set. `wide_stack` is the caller's kWideStackDepth scratch reused by
-/// every BLAS walk (tiles traverse one at a time).
+/// every BLAS walk (tiles traverse one at a time). A narrowing program's
+/// cull carries from tile to tile: top-level tests after a BLAS walk use
+/// the width it narrowed to.
 template <typename Program>
 void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, float h, std::uint32_t ray_id,
-                     Program& program, LaunchStats* stats, std::uint32_t* wide_stack,
-                     MemoryHierarchy* mem = nullptr) {
+                     Program& program, LaunchStats* stats, std::uint32_t* wide_stack) {
   const Bvh& top = tlas.top();
   if (top.empty()) return;
   std::uint32_t stack[kMaxStackDepth];
@@ -352,25 +425,22 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, float h, std::uint32_
   stack[sp++] = top.root();
   const auto nodes = top.nodes();
   const auto tile_order = top.prim_order();
+  float hw = narrowed_half_width(program, ray_id, h);
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
-    if (mem) {
-      mem->access(kTlasRegionBase + (&node - nodes.data()) * kNodeStride);
-    }
     if (stats) {
       ++stats->node_visits;
       ++stats->aabb_tests;
     }
-    if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
+    if (!ray_intersects_aabb(ray, node.bounds.expanded(hw))) continue;
     if (node.is_leaf()) {
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-        const std::uint32_t t = tile_order[s];
-        const TiledBvh::Tile& tile = tlas.tile(t);
+        const TiledBvh::Tile& tile = tlas.tile(tile_order[s]);
         const TiledBvh::TileIndex& index = tile.ensure_index(tlas.leaf_size());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
-        trace_one_wide(index.wide, ray, h, ray_id, tp, stats, wide_stack, mem,
-                       std::uint64_t{t} * kTileRegionStride);
+        trace_one_wide(index.wide, ray, h, ray_id, tp, stats, wide_stack);
         if (tp.terminated) return;
+        hw = narrowed_half_width(program, ray_id, h);
       }
     } else {
       RTNN_DCHECK(sp + 2 <= kMaxStackDepth, "traversal stack overflow");
@@ -385,6 +455,7 @@ template <typename Program>
 void trace_warp(const Bvh& bvh, std::span<const Ray> rays, float h, std::uint32_t first_ray,
                 std::uint32_t lane_count, Program& program, LaunchStats& stats,
                 MemoryHierarchy* mem) {
+  FixedWidth<Program> fixed{program};
   LaneState lanes[kWarpSize];
   for (std::uint32_t l = 0; l < lane_count; ++l) {
     lanes[l].ray_id = first_ray + l;
@@ -429,7 +500,8 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, float h, std::uint32_
         const Ray& ray = rays[lane.ray_id];
         if (!ray_intersects_aabb(ray, node.bounds.expanded(h))) continue;
         if (node.is_leaf()) {
-          if (process_leaf(bvh, node, ray, h, lane.ray_id, program, &stats, mem) ==
+          float hw = h;
+          if (process_leaf(bvh, node, ray, h, hw, lane.ray_id, fixed, &stats, mem) ==
               TraceAction::kTerminate) {
             lane.terminated = true;
             ++stats.terminated_rays;
@@ -528,40 +600,41 @@ LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
 }
 
 /// Wide-BVH overload: the wall-clock independent path.
-/// config.simulate_caches replays the node/primitive fetches through
-/// per-worker cache hierarchies.
 template <typename Program>
 LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the wide BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the binary BVH");
+  RTNN_CHECK(!config.simulate_caches,
+             "cache simulation requires the warp-lockstep execution model");
   if (rays.empty() || bvh.empty()) return detail::untraced(rays);
   const float h = config.aabb_half_width;
   return detail::run_launch(
       rays, rays.size(), grain::kTrace, config, config.collect_stats,
-      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
-        detail::trace_one_wide(bvh, rays[i], h, i, program, stats, stack, mem);
+      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy*) {
+        detail::trace_one_wide(bvh, rays[i], h, i, program, stats, stack);
       });
 }
 
 /// Two-level overload: the TLAS walk over a tiled index. Independent
-/// model only, same chunking/stats/caching shape as the WideBvh overload.
-/// Lazy tiles are
-/// built on first route from inside the launch (thread-safe, built once
-/// regardless of how many chunks race to the same tile).
+/// model only, same chunking/stats shape as the WideBvh overload. Lazy
+/// tiles are built on first route from inside the launch (thread-safe,
+/// built once regardless of how many chunks race to the same tile).
 template <typename Program>
 LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the tiled BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the monolithic binary BVH");
+  RTNN_CHECK(!config.simulate_caches,
+             "cache simulation requires the warp-lockstep execution model");
   if (rays.empty() || tlas.empty()) return detail::untraced(rays);
+  const float h = config.aabb_half_width;
   return detail::run_launch(
       rays, rays.size(), grain::kTrace, config, config.collect_stats,
-      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy* mem) {
-        detail::trace_one_tiled(tlas, rays[i], config.aabb_half_width, i, program, stats,
-                                stack, mem);
+      [&](std::uint32_t i, LaunchStats* stats, std::uint32_t* stack, MemoryHierarchy*) {
+        detail::trace_one_tiled(tlas, rays[i], h, i, program, stats, stack);
       });
 }
 /// Convenience for tests: trace a single ray with stats.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "core/parallel.hpp"
 
@@ -25,62 +24,42 @@ void GridIndex::build(std::span<const Vec3> points, std::uint64_t max_cells) {
   const double volume = static_cast<double>(extent.x) * extent.y * extent.z;
   float cell = static_cast<float>(std::cbrt(volume / static_cast<double>(max_cells)));
   if (!(cell > 0.0f)) cell = 1e-6f;
-  for (;;) {
-    std::uint64_t total_cells = 1;
-    for (int axis = 0; axis < 3; ++axis) {
-      const auto n = static_cast<std::uint64_t>(
-          std::max(1.0f, std::ceil(extent[axis] / cell)));
-      res_[axis] = static_cast<int>(n);
-      total_cells *= n;
-    }
-    if (total_cells <= max_cells) break;
+  // The product is formed in double: a far outlier on one axis can ask for
+  // more cells than any integer type holds.
+  const auto cells_along = [&](int axis) {
+    return std::max(1.0f, std::ceil(extent[axis] / cell));
+  };
+  while (static_cast<double>(cells_along(0)) * cells_along(1) * cells_along(2) >
+         static_cast<double>(max_cells)) {
     cell *= 1.1f;
   }
+  for (int axis = 0; axis < 3; ++axis) res_[axis] = static_cast<int>(cells_along(axis));
   cell_size_ = cell;
-
-  // Histogram of points per cell (per-thread histograms, merged).
-  const std::size_t nx = static_cast<std::size_t>(res_.x);
-  const std::size_t ny = static_cast<std::size_t>(res_.y);
-  const std::size_t nz = static_cast<std::size_t>(res_.z);
-  const std::size_t cells = nx * ny * nz;
-  std::vector<std::uint32_t> histogram(cells, 0);
-  {
-    std::mutex merge_mutex;
-    parallel_for_chunks(0, static_cast<std::int64_t>(points.size()),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          std::vector<std::uint32_t> local(cells, 0);
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            const Int3 c = cell_of(points[static_cast<std::size_t>(i)]);
-                            ++local[(static_cast<std::size_t>(c.z) * ny +
-                                     static_cast<std::size_t>(c.y)) *
-                                        nx +
-                                    static_cast<std::size_t>(c.x)];
-                          }
-                          const std::lock_guard<std::mutex> lock(merge_mutex);
-                          for (std::size_t c = 0; c < cells; ++c) histogram[c] += local[c];
-                        },
-                        1 << 16);
-  }
 
   // 3D summed-area table, dims (nx+1)(ny+1)(nz+1):
   // sat(x,y,z) = #points in cells [0,x) × [0,y) × [0,z).
-  // Built as three separable prefix-sum passes, each parallel over the
-  // untouched dimensions.
+  // Seeded with the cell histogram shifted by (1,1,1): each point's table
+  // slot is found in parallel, then counted by one serial pass straight
+  // into the table (no per-thread histograms to allocate and merge, no
+  // atomics to serialize the cache misses). Then three separable
+  // prefix-sum passes, each parallel over the untouched dimensions.
+  const std::size_t nx = static_cast<std::size_t>(res_.x);
+  const std::size_t ny = static_cast<std::size_t>(res_.y);
+  const std::size_t nz = static_cast<std::size_t>(res_.z);
   sat_.assign((nx + 1) * (ny + 1) * (nz + 1), 0);
   const std::size_t sx = nx + 1;
   const std::size_t sy = ny + 1;
   auto sat_index = [&](std::size_t x, std::size_t y, std::size_t z) {
     return (z * sy + y) * sx + x;
   };
-  // Seed with the histogram shifted by (1,1,1).
-  parallel_for(0, static_cast<std::int64_t>(nz), [&](std::int64_t z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        sat_[sat_index(x + 1, y + 1, static_cast<std::size_t>(z) + 1)] =
-            histogram[((static_cast<std::size_t>(z)) * ny + y) * nx + x];
-      }
-    }
-  }, 1);
+  std::vector<std::size_t> slot(points.size());
+  parallel_for(0, static_cast<std::int64_t>(points.size()), [&](std::int64_t i) {
+    const Int3 c = cell_of(points[static_cast<std::size_t>(i)]);
+    slot[static_cast<std::size_t>(i)] =
+        sat_index(static_cast<std::size_t>(c.x) + 1, static_cast<std::size_t>(c.y) + 1,
+                  static_cast<std::size_t>(c.z) + 1);
+  }, grain::kElementwise);
+  for (const std::size_t s : slot) ++sat_[s];
   // Prefix along x.
   parallel_for(0, static_cast<std::int64_t>(nz + 1), [&](std::int64_t z) {
     for (std::size_t y = 0; y <= ny; ++y) {
@@ -117,7 +96,8 @@ Int3 GridIndex::cell_of(const Vec3& p) const {
   Int3 c;
   for (int axis = 0; axis < 3; ++axis) {
     const float t = (p[axis] - bounds_.lo[axis]) / cell_size_;
-    c[axis] = std::clamp(static_cast<int>(std::floor(t)), 0, res_[axis] - 1);
+    c[axis] = static_cast<int>(
+        std::clamp(std::floor(t), 0.0f, static_cast<float>(res_[axis] - 1)));
   }
   return c;
 }

@@ -12,6 +12,7 @@
 // the ray once K neighbors are found.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -70,7 +71,10 @@ class RangePipeline {
 /// KNN search: the IS shader maintains a bounded max-heap per ray. Rays
 /// are never terminated early — the K *nearest* neighbors can improve
 /// until the traversal exhausts the tree (this is why KNN does more
-/// traversal work than range search; paper section 6.3).
+/// traversal work than range search; paper section 6.3). They narrow
+/// instead: once the heap holds K entries, cull_half_width() reports the
+/// K-th distance and the walk shrinks the ray's boxes to it (a cull RT
+/// hardware cannot make; the warp-lockstep model ignores it).
 class KnnPipeline {
  public:
   /// Heap capacity (the K bound) lives in the heap pool; launch setup
@@ -94,7 +98,22 @@ class KnnPipeline {
     return ox::TraceAction::kContinue;
   }
 
+  /// c = fl(fl(sqrt(w)) * (1 + 2^-20)) for the heap's worst distance² w
+  /// (+inf until the heap is full, 0 when K copies of the query exist).
+  /// Exact: sqrt is correctly rounded, so c >= sqrt(w) * (1 + 13u) with
+  /// u = 2^-24, and fl(c * c) >= w. A box test at c misses a point p only
+  /// if some axis has |p - q| > c exactly (rounding is monotone, so the
+  /// grown bound fl(p + c) below q means p + c < q), hence the rounded
+  /// difference is >= c, and every rounded square and sum distance2
+  /// forms from it is >= fl(c * c) >= w. Such a p fails `d2 < worst`
+  /// above, now and later, since worst only falls.
+  float cull_half_width(std::uint32_t index) const {
+    return std::sqrt(heaps_->worst_dist2(query_ids_[index])) * kCullMargin;
+  }
+
  private:
+  static constexpr float kCullMargin = 1.0f + 0x1p-20f;
+
   std::span<const Vec3> points_;
   std::span<const Vec3> queries_;
   std::span<const std::uint32_t> query_ids_;

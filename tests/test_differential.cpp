@@ -10,12 +10,16 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/flat_knn.hpp"
 #include "core/rng.hpp"
 #include "engine/engine.hpp"
+#include "optix/optix.hpp"
 #include "rtcore/traversal.hpp"
 #include "rtnn/batch_optimizer.hpp"
+#include "rtnn/pipelines.hpp"
 #include "rtnn/sharding.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
@@ -153,6 +157,53 @@ Trial clustered_trial(std::uint64_t seed) {
   return trial;
 }
 
+/// A uniform unit-cube cloud plus two far outliers, at 1e6 and at 1e30:
+/// the scene bounds dwarf the real points (Morton codes collide), and
+/// distances to the 1e30 point overflow to +inf.
+Trial outlier_trial(std::uint64_t seed) {
+  Trial trial{.generator = "outlier", .seed = seed};
+  Pcg32 rng(seed);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  trial.points[rng.next_bounded(kPoints / 2)] = {1.0e6f, 1.0e6f, 1.0e6f};
+  trial.points[kPoints / 2 + rng.next_bounded(kPoints / 2)] = {1.0e30f, 1.0e30f, 1.0e30f};
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Two dense clusters far apart relative to their size: a deep split at
+/// the root, then all the work inside one child.
+Trial two_clusters_far_apart_trial(std::uint64_t seed) {
+  Trial trial{.generator = "two-clusters-far-apart", .seed = seed};
+  Pcg32 rng(seed);
+  const Vec3 centers[2] = {{0.0f, 0.0f, 0.0f}, {1.0e4f, -1.0e4f, 1.0e4f}};
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const Vec3& c = centers[i % 2];
+    trial.points.push_back(
+        {c.x + rng.next_float(), c.y + rng.next_float(), c.z + rng.next_float()});
+  }
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Every site repeated exactly eight times (the KNN K of these tests):
+/// queries on a site find a K-th distance of exactly 0.
+Trial duplicate_heavy_trial(std::uint64_t seed) {
+  Trial trial{.generator = "duplicate-heavy", .seed = seed};
+  Pcg32 rng(seed);
+  constexpr std::size_t kCopies = 8;
+  for (std::size_t s = 0; s < kPoints / kCopies; ++s) {
+    const Vec3 site{rng.next_float(), rng.next_float(), rng.next_float()};
+    for (std::size_t c = 0; c < kCopies; ++c) trial.points.push_back(site);
+  }
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
 std::vector<Trial> all_trials() {
   // Seeds derive from one master PCG stream: deterministic, but easy to
   // widen. Each trial's seed is printed, so any failure reproduces by
@@ -168,6 +219,9 @@ std::vector<Trial> all_trials() {
     trials.push_back(planar_trial(seed));
     trials.push_back(extreme_trial(seed));
     trials.push_back(clustered_trial(seed));
+    trials.push_back(outlier_trial(seed));
+    trials.push_back(two_clusters_far_apart_trial(seed));
+    trials.push_back(duplicate_heavy_trial(seed));
   }
   return trials;
 }
@@ -203,6 +257,16 @@ struct CandidateLog {
     std::vector<std::vector<std::uint32_t>> out = calls;
     for (auto& row : out) std::sort(row.begin(), row.end());
     return out;
+  }
+};
+
+/// KnnPipeline with its cull hidden: the same IS shader, walked at the
+/// launch width to the end.
+struct UnculledKnn {
+  pipelines::KnnPipeline& knn;
+  Ray raygen(std::uint32_t index) const { return knn.raygen(index); }
+  ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
+    return knn.intersection(index, prim);
   }
 };
 
@@ -376,6 +440,81 @@ TEST(Differential, LaunchWidthMatchesRefitToWidth) {
     rt::TiledBvh tiled;
     tiled.build(trial.points, tile_ids);
     EXPECT_EQ(trace_log(tiled, rays, at_h).first.sets(), binary.first.sets()) << "tiled";
+  }
+}
+
+TEST(Differential, KnnCullMatchesFullWalk) {
+  // A KNN ray shrinks its boxes to its K-th distance as the heap fills and
+  // walks nearest-first. That may only skip points the heap would refuse:
+  // every row must keep exactly the distances of the full walk at h = r,
+  // and the cull may only remove IS calls. The warp-lockstep model never
+  // narrows, so there the two launches must do identical work.
+  ox::Context context;
+  for (const Trial& trial : all_trials()) {
+    const std::string label =
+        trial.generator + " seed=" + std::to_string(trial.seed);
+    SCOPED_TRACE(label);
+    std::printf("[differential] knn-cull generator=%s seed=%llu\n",
+                trial.generator.c_str(), static_cast<unsigned long long>(trial.seed));
+
+    std::vector<Aabb> bare_boxes;
+    for (const Vec3& p : trial.points) bare_boxes.push_back(Aabb{p, p});
+    const ox::Accel mono = context.build_accel(bare_boxes);
+    ShardPlan plan = plan_shards(trial.points, 8);
+    std::vector<std::vector<std::uint32_t>> tile_ids;
+    for (ShardPlan::Shard& shard : plan.shards) tile_ids.push_back(std::move(shard.point_ids));
+    const ox::Accel tiled =
+        context.build_tiled_accel(trial.points, tile_ids, {.lazy_build = true});
+
+    std::vector<std::uint32_t> ids(trial.queries.size());
+    for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+    const auto width = static_cast<std::uint32_t>(ids.size());
+    constexpr std::uint32_t kK = 8;
+
+    ox::LaunchOptions wide;
+    wide.aabb_half_width = trial.radius;
+    ox::LaunchOptions binary = wide;
+    binary.use_wide_bvh = false;
+    ox::LaunchOptions lockstep = wide;
+    lockstep.model = ox::ExecutionModel::kWarpLockstep;
+    const std::vector<std::tuple<std::string, const ox::Accel*, ox::LaunchOptions>> walks{
+        {"wide", &mono, wide},
+        {"binary", &mono, binary},
+        {"tiled", &tiled, wide},
+        {"warp lockstep", &mono, lockstep}};
+    for (const auto& [walk, accel, options] : walks) {
+      SCOPED_TRACE(walk);
+      FlatKnnHeaps culled_heaps(ids.size(), kK);
+      pipelines::KnnPipeline culled(trial.points, trial.queries, ids, trial.radius,
+                                    culled_heaps);
+      const rt::LaunchStats culled_stats = ox::launch(*accel, culled, width, options);
+      FlatKnnHeaps full_heaps(ids.size(), kK);
+      pipelines::KnnPipeline full_inner(trial.points, trial.queries, ids, trial.radius,
+                                        full_heaps);
+      UnculledKnn full{full_inner};
+      const rt::LaunchStats full_stats = ox::launch(*accel, full, width, options);
+
+      const NeighborResult got = culled_heaps.extract();
+      const NeighborResult want = full_heaps.extract();
+      for (std::size_t q = 0; q < ids.size(); ++q) {
+        ASSERT_EQ(got.count(q), want.count(q)) << label << " " << walk << " query " << q;
+        const auto dists = [&](const NeighborResult& r) {
+          std::vector<float> d;
+          for (const std::uint32_t p : r.neighbors(q)) {
+            d.push_back(distance2(trial.points[p], trial.queries[q]));
+          }
+          std::sort(d.begin(), d.end());
+          return d;
+        };
+        ASSERT_EQ(dists(got), dists(want)) << label << " " << walk << " query " << q;
+      }
+      EXPECT_LE(culled_stats.is_calls, full_stats.is_calls) << walk;
+      if (options.model == ox::ExecutionModel::kWarpLockstep) {
+        EXPECT_EQ(culled_stats.is_calls, full_stats.is_calls);
+        EXPECT_EQ(culled_stats.node_visits, full_stats.node_visits);
+        EXPECT_EQ(culled_stats.warp_substeps, full_stats.warp_substeps);
+      }
+    }
   }
 }
 

@@ -188,6 +188,15 @@ TEST(Traversal, CacheSimRequiresSimtMode) {
   TraceConfig config;
   config.simulate_caches = true;  // but model = kIndependent
   EXPECT_THROW(trace(scene.bvh, rays, collector, config), Error);
+  // The wide and tiled walks serve only the independent model, so they
+  // have no cache model at all.
+  WideBvh wide;
+  wide.build(scene.bvh);
+  EXPECT_THROW(trace(wide, rays, collector, config), Error);
+  TiledBvh tiled;
+  const std::vector<std::vector<std::uint32_t>> tile_ids{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}};
+  tiled.build(scene.points, tile_ids);
+  EXPECT_THROW(trace(tiled, rays, collector, config), Error);
 }
 
 TEST(Traversal, EmptyLaunches) {
