@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -38,26 +39,25 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
   const std::uint64_t cells = static_cast<std::uint64_t>(res_.x) *
                               static_cast<std::uint64_t>(res_.y) *
                               static_cast<std::uint64_t>(res_.z);
-  // Counting sort: histogram, exclusive scan, scatter.
-  std::vector<std::uint32_t> histogram(cells + 1, 0);
+  // Counting sort in the one cell-sized array: count into cell_start_,
+  // scan it in place, scatter with cell_start_[c]++ (which leaves each
+  // entry at its cell's end), then shift one slot to restore the starts.
+  cell_start_.assign(cells + 1, 0);
   std::vector<std::uint64_t> point_cell(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     point_cell[i] = cell_index(cell_of(points[i]));
-    ++histogram[point_cell[i]];
+    ++cell_start_[point_cell[i]];
   }
-  cell_start_.assign(cells + 1, 0);
   std::uint32_t sum = 0;
-  for (std::uint64_t c = 0; c < cells; ++c) {
-    cell_start_[c] = sum;
-    sum += histogram[c];
-  }
+  for (std::uint64_t c = 0; c < cells; ++c) sum += std::exchange(cell_start_[c], sum);
   cell_start_[cells] = sum;
 
-  std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   point_ids_.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    point_ids_[cursor[point_cell[i]]++] = static_cast<std::uint32_t>(i);
+    point_ids_[cell_start_[point_cell[i]]++] = static_cast<std::uint32_t>(i);
   }
+  std::copy_backward(cell_start_.begin(), cell_start_.end() - 2, cell_start_.end() - 1);
+  cell_start_[0] = 0;
 }
 
 Int3 UniformGrid::cell_of(const Vec3& p) const {

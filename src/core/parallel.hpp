@@ -10,12 +10,14 @@
 // RTNN_THREADS environment variable, then OpenMP's default.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -131,6 +133,18 @@ T parallel_reduce(std::int64_t begin, std::int64_t end, T init, Map&& map, Op&& 
     if (s.used) result = op(result, s.value);
   }
   return result;
+}
+
+/// Copies `src` into `dst`, resized to fit, in parallel chunks. Into a
+/// NoInitVector every slot is written once, by the task that copies it.
+template <typename T, typename Alloc>
+void parallel_assign(std::vector<T, Alloc>& dst, std::span<const T> src) {
+  dst.resize(src.size());
+  parallel_for_chunks(0, static_cast<std::int64_t>(src.size()),
+                      [&](std::int64_t lo, std::int64_t hi) {
+                        std::copy(src.begin() + lo, src.begin() + hi, dst.begin() + lo);
+                      },
+                      grain::kElementwise);
 }
 
 /// Exclusive prefix sum over `v` in place; returns the grand total.

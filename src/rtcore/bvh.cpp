@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/morton.hpp"
@@ -44,71 +45,49 @@ std::uint32_t split_range(const std::vector<std::uint64_t>& codes, std::uint32_t
   return first + 1;
 }
 
-struct SubtreeBuilder {
+// Slot ranges at most this long are built as one subtree task. The cut
+// depends on the range alone, never on the worker count, so the node array
+// is the same at any thread count; a cloud this small is a single task.
+constexpr std::uint32_t kTaskPrims = 4 * 1024;
+
+// Writes the subtree over the Morton-sorted slot range [lo, hi) in
+// pre-order from `slot`, each node whole and exactly once. Returns the
+// slot one past the subtree.
+struct SubtreeWriter {
   const std::vector<std::uint64_t>& codes;
   const std::vector<std::uint32_t>& prim_order;
-  const std::vector<Aabb>& prim_aabbs;
+  std::span<const Aabb> prim_aabbs;
   std::uint32_t leaf_size;
-  std::vector<BvhNode>& nodes;
-  std::uint32_t max_depth = 0;
-
-  std::uint32_t build(std::uint32_t lo, std::uint32_t hi, std::uint32_t depth) {
-    max_depth = std::max(max_depth, depth);
-    const auto index = static_cast<std::uint32_t>(nodes.size());
-    nodes.emplace_back();
-    const std::uint32_t count = hi - lo;
-    if (count <= leaf_size) {
-      Aabb bounds;
-      for (std::uint32_t s = lo; s < hi; ++s) bounds.grow(prim_aabbs[prim_order[s]]);
-      BvhNode& leaf = nodes[index];
-      leaf.bounds = bounds;
-      leaf.first = lo;
-      leaf.count = count;
-      return index;
-    }
-    const std::uint32_t mid = split_range(codes, lo, hi);
-    const std::uint32_t left = build(lo, mid, depth + 1);
-    const std::uint32_t right = build(mid, hi, depth + 1);
-    BvhNode& node = nodes[index];
-    node.left = left;
-    node.right = right;
-    node.count = 0;
-    node.bounds = unite(nodes[left].bounds, nodes[right].bounds);
-    return index;
-  }
-};
-
-// Builds a subtree directly into a preallocated global node array (only
-// valid for leaf_size == 1, where a range of `len` primitives occupies
-// exactly 2*len-1 slots in pre-order).
-struct FixedSlotBuilder {
-  const std::vector<std::uint64_t>& codes;
-  const std::vector<std::uint32_t>& prim_order;
-  const std::vector<Aabb>& prim_aabbs;
   BvhNode* nodes;
   std::uint32_t max_depth = 0;
 
-  void build(std::uint32_t slot, std::uint32_t lo, std::uint32_t hi,
-             std::uint32_t depth) {
+  std::uint32_t build(std::uint32_t slot, std::uint32_t lo, std::uint32_t hi,
+                      std::uint32_t depth) {
     max_depth = std::max(max_depth, depth);
-    BvhNode& node = nodes[slot];
-    if (hi - lo == 1) {
-      node.bounds = prim_aabbs[prim_order[lo]];
-      node.first = lo;
-      node.count = 1;
-      return;
+    if (hi - lo <= leaf_size) {
+      Aabb bounds;
+      for (std::uint32_t s = lo; s < hi; ++s) bounds.grow(prim_aabbs[prim_order[s]]);
+      nodes[slot] = BvhNode{bounds, 0, 0, lo, hi - lo};
+      return slot + 1;
     }
     const std::uint32_t mid = split_range(codes, lo, hi);
     const std::uint32_t left = slot + 1;
-    const std::uint32_t right = slot + 1 + (2 * (mid - lo) - 1);
-    build(left, lo, mid, depth + 1);
-    build(right, mid, hi, depth + 1);
-    node.left = left;
-    node.right = right;
-    node.count = 0;
-    node.bounds = unite(nodes[left].bounds, nodes[right].bounds);
+    const std::uint32_t right = build(left, lo, mid, depth + 1);
+    const std::uint32_t end = build(right, mid, hi, depth + 1);
+    nodes[slot] = BvhNode{unite(nodes[left].bounds, nodes[right].bounds), left, right, 0, 0};
+    return end;
   }
 };
+
+// Node count of the subtree SubtreeWriter writes over [lo, hi): closed
+// form for single-primitive leaves, otherwise the same splits unwritten.
+std::uint32_t subtree_size(const std::vector<std::uint64_t>& codes, std::uint32_t leaf_size,
+                           std::uint32_t lo, std::uint32_t hi) {
+  if (hi - lo <= leaf_size) return 1;
+  if (leaf_size == 1) return 2 * (hi - lo) - 1;
+  const std::uint32_t mid = split_range(codes, lo, hi);
+  return 1 + subtree_size(codes, leaf_size, lo, mid) + subtree_size(codes, leaf_size, mid, hi);
+}
 
 }  // namespace
 
@@ -116,7 +95,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   RTNN_CHECK(options.leaf_size >= 1, "leaf_size must be >= 1");
   nodes_.clear();
   prim_order_.clear();
-  prim_aabbs_.assign(prims.begin(), prims.end());
+  parallel_assign(prim_aabbs_, prims);
   leaf_size_ = options.leaf_size;
   max_depth_seen_ = 0;
   scene_bounds_ = Aabb{};
@@ -165,131 +144,74 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   std::iota(prim_order_.begin(), prim_order_.end(), 0u);
   radix_sort_pairs(codes, prim_order_);
 
-  // Small builds: one serial pass.
-  const int workers = num_threads();
-  const std::uint32_t cutoff = std::max<std::uint32_t>(
-      4 * 1024, n / static_cast<std::uint32_t>(8 * std::max(workers, 1)));
-  if (workers <= 1 || n <= 2 * cutoff) {
-    nodes_.reserve(2 * static_cast<std::size_t>(n));
-    SubtreeBuilder builder{codes, prim_order_, prim_aabbs_, leaf_size_, nodes_};
-    builder.build(0, n, 0);
-    max_depth_seen_ = builder.max_depth;
-    return;
-  }
-
-  // Parallel build: split the sorted range top-down into tasks, build each
-  // subtree independently, then stitch the pieces with index fix-up.
+  // Skeleton (serial): split the sorted range top-down until every piece
+  // fits one task. Skeleton nodes take the first slots, in pre-order; each
+  // task's subtree then fills one contiguous block, in task order. Child
+  // references name a skeleton slot or, with kTaskRef, a task.
+  constexpr std::uint32_t kTaskRef = 0x80000000u;
+  constexpr std::uint32_t kNoParent = 0xffffffffu;
   struct Task {
-    std::uint32_t lo, hi;
-    std::uint32_t parent;  // top-skeleton node to patch
+    std::uint32_t lo, hi, depth;
+  };
+  struct SkeletonNode {
+    std::uint32_t left, right;
+  };
+  struct Frame {
+    std::uint32_t lo, hi, depth, parent;
     bool is_left;
   };
   std::vector<Task> tasks;
-  std::vector<std::uint32_t> top_internal;  // indices of skeleton nodes, pre-order
-
-  // Build the skeleton serially (explicit stack to keep pre-order simple).
-  struct Frame {
-    std::uint32_t lo, hi, parent, depth;
-    bool is_left;
-  };
-  std::vector<Frame> stack{{0, n, 0xffffffffu, 0, false}};
-  std::vector<std::uint32_t> task_depth;
-  nodes_.reserve(2 * static_cast<std::size_t>(n));
+  std::vector<SkeletonNode> skeleton;
+  std::vector<Frame> stack{{0, n, 0, kNoParent, false}};
   while (!stack.empty()) {
     const Frame f = stack.back();
     stack.pop_back();
-    if (f.hi - f.lo <= cutoff) {
-      tasks.push_back({f.lo, f.hi, f.parent, f.is_left});
-      task_depth.push_back(f.depth);
-      continue;
+    std::uint32_t ref;
+    if (f.hi - f.lo <= kTaskPrims) {
+      ref = kTaskRef | static_cast<std::uint32_t>(tasks.size());
+      tasks.push_back({f.lo, f.hi, f.depth});
+    } else {
+      ref = static_cast<std::uint32_t>(skeleton.size());
+      skeleton.push_back({});
+      const std::uint32_t mid = split_range(codes, f.lo, f.hi);
+      stack.push_back({mid, f.hi, f.depth + 1, ref, false});
+      stack.push_back({f.lo, mid, f.depth + 1, ref, true});
     }
-    const auto index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-    top_internal.push_back(index);
-    if (f.parent != 0xffffffffu) {
-      (f.is_left ? nodes_[f.parent].left : nodes_[f.parent].right) = index;
-    }
-    const std::uint32_t mid = split_range(codes, f.lo, f.hi);
-    stack.push_back({mid, f.hi, index, f.depth + 1, false});
-    stack.push_back({f.lo, mid, index, f.depth + 1, true});
-  }
-
-  // Build every task subtree in parallel.
-  std::vector<std::uint32_t> local_depth(tasks.size(), 0);
-  if (leaf_size_ == 1) {
-    // Subtree sizes are exact (2*len-1): build straight into the global
-    // array at precomputed offsets — no local buffers, no stitch copy.
-    std::vector<std::size_t> offsets(tasks.size());
-    std::size_t total = nodes_.size();
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      offsets[t] = total;
-      total += 2 * static_cast<std::size_t>(tasks[t].hi - tasks[t].lo) - 1;
-    }
-    nodes_.resize(total);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const Task& task = tasks[t];
-      const auto root = static_cast<std::uint32_t>(offsets[t]);
-      (task.is_left ? nodes_[task.parent].left : nodes_[task.parent].right) = root;
-    }
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
-      const Task& task = tasks[static_cast<std::size_t>(t)];
-      FixedSlotBuilder builder{codes, prim_order_, prim_aabbs_, nodes_.data()};
-      builder.build(static_cast<std::uint32_t>(offsets[static_cast<std::size_t>(t)]),
-                    task.lo, task.hi, 0);
-      local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
-    }, grain::kTask);
-  } else {
-    // General leaf sizes: build locally and stitch with index fix-up.
-    std::vector<std::vector<BvhNode>> local(tasks.size());
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
-      const Task& task = tasks[static_cast<std::size_t>(t)];
-      auto& nodes = local[static_cast<std::size_t>(t)];
-      nodes.reserve(2 * static_cast<std::size_t>(task.hi - task.lo));
-      SubtreeBuilder builder{codes, prim_order_, prim_aabbs_, leaf_size_, nodes};
-      builder.build(task.lo, task.hi, 0);
-      local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
-    }, grain::kTask);
-    std::vector<std::size_t> offsets(tasks.size());
-    std::size_t total = nodes_.size();
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      offsets[t] = total;
-      total += local[t].size();
-    }
-    nodes_.resize(total);
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t ti) {
-      const auto t = static_cast<std::size_t>(ti);
-      const auto base = static_cast<std::uint32_t>(offsets[t]);
-      BvhNode* dst = nodes_.data() + offsets[t];
-      for (std::size_t i = 0; i < local[t].size(); ++i) {
-        BvhNode node = local[t][i];
-        if (!node.is_leaf()) {
-          node.left += base;
-          node.right += base;
-        }
-        dst[i] = node;
-      }
-    }, grain::kTask);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const Task& task = tasks[t];
-      const auto root = static_cast<std::uint32_t>(offsets[t]);
-      (task.is_left ? nodes_[task.parent].left : nodes_[task.parent].right) = root;
+    if (f.parent != kNoParent) {
+      (f.is_left ? skeleton[f.parent].left : skeleton[f.parent].right) = ref;
     }
   }
 
-  // Skeleton bounds, bottom-up. Pre-order creation means children always
-  // come after parents among skeleton nodes, but skeleton children may be
-  // task roots (which already have bounds); walk the skeleton in reverse.
-  for (auto it = top_internal.rbegin(); it != top_internal.rend(); ++it) {
-    BvhNode& node = nodes_[*it];
-    node.count = 0;
-    node.bounds = unite(nodes_[node.left].bounds, nodes_[node.right].bounds);
-  }
+  // Task blocks: sizes (in parallel: wider leaves re-run the splits),
+  // then offsets, then every subtree written straight into its block.
+  const auto task_count = static_cast<std::int64_t>(tasks.size());
+  std::vector<std::uint32_t> offsets(tasks.size());
+  parallel_for(0, task_count, [&](std::int64_t t) {
+    const Task& task = tasks[static_cast<std::size_t>(t)];
+    offsets[static_cast<std::size_t>(t)] = subtree_size(codes, leaf_size_, task.lo, task.hi);
+  }, grain::kTask);
+  std::uint32_t total = static_cast<std::uint32_t>(skeleton.size());
+  for (std::uint32_t& offset : offsets) total += std::exchange(offset, total);
+  nodes_.resize(total);  // unwritten: each slot is written once below
+  std::vector<std::uint32_t> task_depth(tasks.size());
+  parallel_for(0, task_count, [&](std::int64_t ti) {
+    const auto t = static_cast<std::size_t>(ti);
+    SubtreeWriter writer{codes, prim_order_, prim_aabbs_, leaf_size_, nodes_.data()};
+    writer.build(offsets[t], tasks[t].lo, tasks[t].hi, 0);
+    task_depth[t] = tasks[t].depth + writer.max_depth;
+  }, grain::kTask);
+  max_depth_seen_ = *std::max_element(task_depth.begin(), task_depth.end());
 
-  std::uint32_t deepest = 0;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    deepest = std::max(deepest, local_depth[t] + task_depth[t]);
+  // Skeleton nodes, bottom-up: in pre-order a skeleton node's children
+  // come after it, so a reverse walk meets them already written.
+  const auto slot_of = [&](std::uint32_t ref) {
+    return (ref & kTaskRef) ? offsets[ref & ~kTaskRef] : ref;
+  };
+  for (std::size_t s = skeleton.size(); s-- > 0;) {
+    const std::uint32_t left = slot_of(skeleton[s].left);
+    const std::uint32_t right = slot_of(skeleton[s].right);
+    nodes_[s] = BvhNode{unite(nodes_[left].bounds, nodes_[right].bounds), left, right, 0, 0};
   }
-  max_depth_seen_ = deepest;
 }
 
 // Node ids bucketed by depth, deepest level first, so a level sweep can

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/aabb.hpp"
+#include "core/no_init_vector.hpp"
 
 namespace rtnn::rt {
 
@@ -82,6 +83,14 @@ class Bvh {
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
 
+  /// The node array. Node 0 is the root and every child comes after its
+  /// parent. build() splits the Morton-sorted range top-down until each
+  /// piece holds at most a few thousand primitives (a function of the
+  /// range alone, never of the worker count): the nodes above the cut come
+  /// first in pre-order, then each piece's subtree as one contiguous
+  /// pre-order block, written by its own task, every slot exactly once.
+  /// The array is therefore the same bytes at any thread count, and every
+  /// subtree covers one contiguous slot range of prim_order().
   std::span<const BvhNode> nodes() const { return nodes_; }
   /// Primitive ids in leaf order: leaf node [first, first+count) indexes
   /// into this array, which maps slots back to caller primitive ids.
@@ -100,9 +109,6 @@ class Bvh {
   void validate() const;
 
  private:
-  std::uint32_t build_range(std::uint32_t lo, std::uint32_t hi,
-                            const std::vector<std::uint64_t>& codes,
-                            std::uint32_t depth);
   void ensure_levels() const;
 
   /// Weighted surface-area sums that price any half-width h: a box grown
@@ -125,9 +131,9 @@ class Bvh {
   template <typename PrimBox>
   void refit_impl(std::size_t prim_count, PrimBox prim_box);
 
-  std::vector<BvhNode> nodes_;
+  NoInitVector<BvhNode> nodes_;
   std::vector<std::uint32_t> prim_order_;
-  std::vector<Aabb> prim_aabbs_;
+  NoInitVector<Aabb> prim_aabbs_;
   Aabb scene_bounds_;
   std::uint32_t leaf_size_ = 1;
   std::uint32_t max_depth_seen_ = 0;

@@ -306,9 +306,9 @@ inline std::uint32_t nearest_first(const WideBvhNode& node, const Vec3& origin,
 ///    the time this node's 8-box test and leaf work retire, the next
 ///    node's first line is usually in flight;
 ///  * interior children are buffered and pushed in reverse slot order, so
-///    pops proceed in ascending slot order — the BFS build allocates a
-///    parent's children at consecutive indices, making consecutive pops
-///    walk consecutive node addresses.
+///    pops proceed in ascending slot order — each BFS block of the build
+///    allocates a parent's children at consecutive indices, making
+///    consecutive pops walk consecutive node addresses.
 /// A NarrowingProgram instead handles a node's hits nearest-first: leaves
 /// in that order, and the nearest interior child is popped first.
 template <typename Program>

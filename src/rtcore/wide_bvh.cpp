@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -11,24 +12,32 @@ namespace rtnn::rt {
 
 namespace {
 
-/// The binary nodes feeding one wide node's slots, recorded during the
-/// serial topology pass and consumed by the parallel bounds fill.
+/// The binary nodes feeding one wide node's slots, recorded by the
+/// collapse and consumed by the bounds fill (at build and every refit).
 using SlotSources = std::array<std::uint32_t, kWideBvhWidth>;
 
-/// Grows `frontier` (binary node ids under one wide node) by repeatedly
-/// replacing the interior entry with the largest surface area — the child a
+/// The frontier of the wide node rooted at binary node `bin_root`, unused
+/// slots kEmptyChild. Starting from the root's two children, repeatedly
+/// replaces the interior entry with the largest surface area — the child a
 /// random ray is most likely to enter — with its two children, until all
-/// eight slots are used or only leaves remain. Returns the frontier size.
-/// Areas are computed once per entry (-1 marks a leaf), not rescanned.
-std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, SlotSources& frontier,
-                                std::uint32_t size) {
+/// eight slots are used or only leaves remain. Areas are computed once per
+/// entry (-1 marks a leaf), not rescanned.
+SlotSources collapse_frontier(std::span<const BvhNode> bin_nodes, std::uint32_t bin_root) {
+  SlotSources frontier;
+  frontier.fill(WideBvhNode::kEmptyChild);
+  const BvhNode& root = bin_nodes[bin_root];
+  if (root.is_leaf()) {
+    frontier[0] = bin_root;  // degenerate tree: the root itself is a leaf
+    return frontier;
+  }
   const auto entry_area = [&](std::uint32_t id) {
     const BvhNode& node = bin_nodes[id];
     return node.is_leaf() ? -1.0f : node.bounds.surface_area();
   };
-  float area[kWideBvhWidth];
-  for (std::uint32_t i = 0; i < size; ++i) area[i] = entry_area(frontier[i]);
-  while (size < kWideBvhWidth) {
+  frontier[0] = root.left;
+  frontier[1] = root.right;
+  float area[kWideBvhWidth] = {entry_area(root.left), entry_area(root.right)};
+  for (std::uint32_t size = 2; size < kWideBvhWidth; ++size) {
     std::uint32_t expand = kWideBvhWidth;  // sentinel: nothing to expand
     float best_area = -1.0f;
     for (std::uint32_t i = 0; i < size; ++i) {
@@ -43,9 +52,8 @@ std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, SlotSources&
     area[expand] = entry_area(node.left);
     frontier[size] = node.right;
     area[size] = entry_area(node.right);
-    ++size;
   }
-  return size;
+  return frontier;
 }
 
 /// Copies the frontier's binary bounds into one wide node's SoA lanes and
@@ -68,6 +76,78 @@ void fill_bounds(WideBvhNode& node, std::span<const BvhNode> bin_nodes,
   }
 }
 
+/// Binary subtrees of at most this many primitives collapse as one task;
+/// the wide nodes above them form the serial top. The cut depends only on
+/// the tree, never on the worker count, so the node array is the same at
+/// any thread count; a tree this small is a single task, its root.
+constexpr std::uint32_t kTaskPrims = 4 * 1024;
+constexpr std::uint32_t kTaskRef = 0x80000000u;
+
+/// Primitives under binary node `id`: every Bvh subtree covers one
+/// contiguous slot range of prim_order(), left subtree first.
+std::uint32_t subtree_prims(std::span<const BvhNode> bin_nodes, std::uint32_t id) {
+  std::uint32_t lo = id;
+  std::uint32_t hi = id;
+  while (!bin_nodes[lo].is_leaf()) lo = bin_nodes[lo].left;
+  while (!bin_nodes[hi].is_leaf()) hi = bin_nodes[hi].right;
+  return bin_nodes[hi].first + bin_nodes[hi].count - bin_nodes[lo].first;
+}
+
+/// One BFS block of wide nodes: the top of the tree, or one cut subtree.
+struct Block {
+  /// Each wide node's frontier in BFS order; unused slots kEmptyChild.
+  std::vector<SlotSources> frontiers;
+  std::uint32_t leaf_count = 0;
+  std::uint64_t child_slots = 0;
+  std::uint32_t max_depth = 0;  // below the block's root
+  std::uint32_t node_base = 0;  // final index of frontiers[0]
+  std::uint32_t leaf_base = 0;  // final index of the block's first leaf
+  std::uint32_t node_count() const { return static_cast<std::uint32_t>(frontiers.size()); }
+};
+
+/// The tasks the top cuts off: each one's binary root and wide depth, and
+/// for every interior slot of the top (BFS order) its child, as a
+/// top-local node index or kTaskRef | task index.
+struct Cut {
+  std::vector<std::uint32_t> roots;
+  std::vector<std::uint32_t> depths;
+  std::vector<std::uint32_t> refs;
+};
+
+/// Pass 1: records the block under `bin_root` (frontiers and counts), BFS.
+/// With a `cut`, interior slots over at most kTaskPrims primitives are not
+/// expanded but handed to the cut as tasks.
+void collapse(std::span<const BvhNode> bin_nodes, std::uint32_t bin_root, Block& block,
+              Cut* cut) {
+  block.frontiers.push_back(collapse_frontier(bin_nodes, bin_root));
+  std::uint32_t depth = 0;
+  std::size_t level_end = 1;
+  for (std::size_t head = 0; head < block.frontiers.size(); ++head) {
+    if (head == level_end) {
+      ++depth;
+      level_end = block.frontiers.size();
+    }
+    const SlotSources frontier = block.frontiers[head];  // copy: push_back below
+    for (const std::uint32_t bin : frontier) {
+      if (bin == WideBvhNode::kEmptyChild) break;
+      ++block.child_slots;
+      if (bin_nodes[bin].is_leaf()) {
+        ++block.leaf_count;
+        continue;
+      }
+      if (cut != nullptr && subtree_prims(bin_nodes, bin) <= kTaskPrims) {
+        cut->refs.push_back(kTaskRef | static_cast<std::uint32_t>(cut->roots.size()));
+        cut->roots.push_back(bin);
+        cut->depths.push_back(depth + 1);
+        continue;
+      }
+      if (cut != nullptr) cut->refs.push_back(block.node_count());
+      block.frontiers.push_back(collapse_frontier(bin_nodes, bin));
+    }
+  }
+  block.max_depth = depth;
+}
+
 }  // namespace
 
 void WideBvh::build(const Bvh& source) {
@@ -76,88 +156,89 @@ void WideBvh::build(const Bvh& source) {
   slot_sources_.clear();
   max_depth_ = 0;
   child_slots_ = 0;
-  prim_order_.assign(source.prim_order().begin(), source.prim_order().end());
-  prim_aabbs_.assign(source.prim_aabbs().begin(), source.prim_aabbs().end());
+  parallel_assign(prim_order_, source.prim_order());
+  parallel_assign(prim_aabbs_, source.prim_aabbs());
   source_node_count_ = static_cast<std::uint32_t>(source.nodes().size());
   if (source.empty()) return;
 
   const std::span<const BvhNode> bin_nodes = source.nodes();
 
-  // Phase 1 (serial): topology. BFS over wide nodes keeps parents adjacent
-  // to children in memory. Each queue entry is a wide node to fill; its
-  // frontier collapse allocates the children. Single-threaded builds fill
-  // the SoA bounds inline while the binary nodes are cache-hot; parallel
-  // builds defer the fill (the bulk of the writes) to phase 2.
-  const bool inline_fill = num_threads() <= 1;
-  struct Pending {
-    std::uint32_t bin_root;
-    std::uint32_t wide_index;
-    std::uint32_t depth;
-  };
-  // Capacity up front: growth reallocations are expensive at 256 B/node.
-  // For leaf_size 1 the collapse lands near one wide node per 2.5 binary
-  // leaves; a quarter of the binary node count covers that with slack.
-  const std::size_t node_estimate = bin_nodes.size() / 4 + 2;
-  std::vector<Pending> queue;
-  queue.reserve(node_estimate);
-  queue.push_back({source.root(), 0, 0});
-  // Slot sources are recorded for every node: the parallel bounds fill
-  // consumes them now, refit_from() consumes them for the tree's lifetime.
-  slot_sources_.reserve(node_estimate);
-  nodes_.reserve(node_estimate);
-  leaves_.reserve((bin_nodes.size() + 1) / 2);
-  nodes_.emplace_back();
-  slot_sources_.emplace_back();
+  // Top (serial): the wide nodes over subtrees too large for one task.
+  // Their interior slots below the cut root the tasks.
+  Block top;
+  Cut cut;
+  if (subtree_prims(bin_nodes, source.root()) <= kTaskPrims) {
+    cut.roots.push_back(source.root());
+    cut.depths.push_back(0);
+  } else {
+    collapse(bin_nodes, source.root(), top, &cut);
+  }
 
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Pending p = queue[head];
-    max_depth_ = std::max(max_depth_, p.depth);
+  // Tasks, pass 1 (parallel): each cut subtree's frontiers and counts.
+  std::vector<Block> tasks(cut.roots.size());
+  parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
+    collapse(bin_nodes, cut.roots[static_cast<std::size_t>(t)],
+             tasks[static_cast<std::size_t>(t)], nullptr);
+  }, grain::kTask);
 
-    SlotSources frontier{};
-    std::uint32_t size;
-    const BvhNode& bin_root = bin_nodes[p.bin_root];
-    if (bin_root.is_leaf()) {
-      frontier[0] = p.bin_root;  // degenerate tree: the root itself is a leaf
-      size = 1;
-    } else {
-      frontier[0] = bin_root.left;
-      frontier[1] = bin_root.right;
-      size = collapse_frontier(bin_nodes, frontier, 2);
-    }
+  // Exclusive scan: the top's BFS block first, then one block per task.
+  std::uint32_t node_total = top.node_count();
+  std::uint32_t leaf_total = top.leaf_count;
+  child_slots_ = top.child_slots;
+  max_depth_ = top.max_depth;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    Block& task = tasks[t];
+    task.node_base = std::exchange(node_total, node_total + task.node_count());
+    task.leaf_base = std::exchange(leaf_total, leaf_total + task.leaf_count);
+    child_slots_ += task.child_slots;
+    max_depth_ = std::max(max_depth_, cut.depths[t] + task.max_depth);
+  }
+  // Unwritten: every slot is written once, by the block that owns it.
+  nodes_.resize(node_total);
+  leaves_.resize(leaf_total);
+  slot_sources_.resize(node_total);
 
-    // Allocate children before touching nodes_[p.wide_index]: emplace_back
-    // below may reallocate the node array.
-    SlotSources children;
-    children.fill(WideBvhNode::kEmptyChild);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const BvhNode& bin = bin_nodes[frontier[i]];
-      if (bin.is_leaf()) {
-        children[i] =
-            WideBvhNode::kLeafBit | static_cast<std::uint32_t>(leaves_.size());
-        leaves_.push_back({bin.first, bin.count});
-      } else {
-        const auto child_index = static_cast<std::uint32_t>(nodes_.size());
-        children[i] = child_index;
-        nodes_.emplace_back();
-        slot_sources_.emplace_back();
-        queue.push_back({frontier[i], child_index, p.depth + 1});
+  // Pass 2 for one block: wide node i lands at node_base + i, the k-th
+  // leaf slot at leaf_base + k, the k-th interior slot's child at
+  // interior_index(k); every field of every slot is written here.
+  const auto emit = [&](const Block& block, auto interior_index) {
+    std::uint32_t leaf = block.leaf_base;
+    std::uint32_t interior = 0;
+    for (std::size_t i = 0; i < block.frontiers.size(); ++i) {
+      const SlotSources& src = block.frontiers[i];
+      const std::size_t ni = block.node_base + i;
+      WideBvhNode& node = nodes_[ni];
+      node.count = 0;
+      for (std::uint32_t slot = 0; slot < kWideBvhWidth; ++slot) {
+        if (src[slot] == WideBvhNode::kEmptyChild) {
+          node.child[slot] = WideBvhNode::kEmptyChild;
+          continue;
+        }
+        ++node.count;
+        const BvhNode& bin = bin_nodes[src[slot]];
+        if (bin.is_leaf()) {
+          node.child[slot] = WideBvhNode::kLeafBit | leaf;
+          leaves_[leaf++] = {bin.first, bin.count};
+        } else {
+          node.child[slot] = interior_index(interior++);
+        }
       }
+      fill_bounds(node, bin_nodes, src);
+      slot_sources_[ni] = src;
     }
+  };
 
-    WideBvhNode& node = nodes_[p.wide_index];
-    node.count = size;
-    child_slots_ += size;
-    std::copy(children.begin(), children.end(), node.child);
-    slot_sources_[p.wide_index] = frontier;
-    if (inline_fill) fill_bounds(node, bin_nodes, frontier);
-  }
-  if (!inline_fill) {
-    // Phase 2 (parallel): the SoA bounds fill — the bulk of the writes.
-    parallel_for(0, static_cast<std::int64_t>(nodes_.size()), [&](std::int64_t ni) {
-      fill_bounds(nodes_[static_cast<std::size_t>(ni)], bin_nodes,
-                  slot_sources_[static_cast<std::size_t>(ni)]);
-    }, grain::kElementwise / kWideBvhWidth);
-  }
+  // Pass 2 (parallel): every block writes its nodes, leaves and slot
+  // sources in place. Inside a task the k-th interior slot (BFS order) is
+  // the task's node k + 1; the top's slots resolve through the cut.
+  emit(top, [&](std::uint32_t k) {
+    const std::uint32_t ref = cut.refs[k];
+    return (ref & kTaskRef) ? tasks[ref & ~kTaskRef].node_base : ref;
+  });
+  parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
+    const Block& task = tasks[static_cast<std::size_t>(t)];
+    emit(task, [&](std::uint32_t k) { return task.node_base + k + 1; });
+  }, grain::kTask);
 }
 
 void WideBvh::refit_from(const Bvh& source) {
@@ -173,8 +254,7 @@ void WideBvh::refit_from(const Bvh& source) {
   // node's SoA lanes from the recorded collapse frontier. No topology
   // decisions, no allocation — a flat parallel copy.
   const std::span<const BvhNode> bin_nodes = source.nodes();
-  const std::span<const Aabb> moved = source.prim_aabbs();
-  std::copy(moved.begin(), moved.end(), prim_aabbs_.begin());
+  parallel_assign(prim_aabbs_, source.prim_aabbs());
   parallel_for(0, static_cast<std::int64_t>(nodes_.size()), [&](std::int64_t ni) {
     fill_bounds(nodes_[static_cast<std::size_t>(ni)], bin_nodes,
                 slot_sources_[static_cast<std::size_t>(ni)]);

@@ -15,6 +15,14 @@
 // wide node per frontier. Fewer, fatter nodes mean fewer stack operations
 // and fewer dependent cache misses per ray — the software analog of what
 // the RT cores' wide tree does in hardware.
+//
+// Each wide node's frontier depends only on its binary root, so the
+// collapse is parallel by construction (as in GPU wide-BVH builders): a
+// short serial pass collapses the top of the tree, every binary subtree
+// of at most a few thousand primitives below it is collapsed as its own
+// task, and an exclusive scan of the tasks' node and leaf counts places
+// each task's block. The cut depends only on the tree, never on the
+// worker count, so the node array is the same at any thread count.
 #pragma once
 
 #include <array>
@@ -23,6 +31,7 @@
 #include <vector>
 
 #include "core/aabb.hpp"
+#include "core/no_init_vector.hpp"
 #include "rtcore/bvh.hpp"
 
 namespace rtnn::rt {
@@ -78,11 +87,15 @@ class WideBvh {
  public:
   WideBvh() = default;
 
-  /// Collapses `source` into wide nodes. Topology is decided in one cheap
-  /// serial pass; the SoA bounds fill (the bulk of the memory traffic) runs
-  /// in parallel over the wide nodes. The binary node feeding each child
-  /// slot is recorded so later refit_from() calls can refresh the lanes
-  /// without re-collapsing.
+  /// Collapses `source` into wide nodes in two passes per subtree task:
+  /// pass 1 records each wide node's frontier and the task's node and leaf
+  /// counts; after a scan places every task, pass 2 writes child indices,
+  /// leaves, slot sources and SoA lanes straight into the final arrays,
+  /// each slot exactly once. Numbering: the top's nodes in BFS order, then
+  /// one BFS block per task; a tree of at most a few thousand primitives
+  /// is a single task, one BFS. The binary node feeding each child slot is
+  /// recorded so later refit_from() calls can refresh the lanes without
+  /// re-collapsing.
   void build(const Bvh& source);
 
   /// Refreshes the SoA min/max lanes (and the primitive snapshot) from an
@@ -115,16 +128,16 @@ class WideBvh {
   void validate() const;
 
  private:
-  std::vector<WideBvhNode> nodes_;
-  std::vector<WideLeaf> leaves_;
-  std::vector<std::uint32_t> prim_order_;
-  std::vector<Aabb> prim_aabbs_;
+  NoInitVector<WideBvhNode> nodes_;
+  NoInitVector<WideLeaf> leaves_;
+  NoInitVector<std::uint32_t> prim_order_;
+  NoInitVector<Aabb> prim_aabbs_;
   std::uint32_t max_depth_ = 0;
   std::uint64_t child_slots_ = 0;  // sum of node counts; fixed by build()
   /// slot_sources_[node][slot] = binary node id whose bounds fill that
   /// slot's lanes (the collapse frontier), kept so refit_from() is a flat
   /// parallel copy. ~32 B per 256 B node.
-  std::vector<std::array<std::uint32_t, kWideBvhWidth>> slot_sources_;
+  NoInitVector<std::array<std::uint32_t, kWideBvhWidth>> slot_sources_;
   std::uint32_t source_node_count_ = 0;  // binary node count build() saw
 };
 

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/flat_knn.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "rtcore/traversal.hpp"
 #include "test_util.hpp"
@@ -164,6 +168,79 @@ TEST(WideBvh, CollapseInvariants) {
       // bottom-of-tree subtrees with < 8 leaves keep the average below 8.
       EXPECT_GT(stats.avg_children, 3.0) << "n=" << n;
       EXPECT_LE(stats.max_depth, bin_stats.max_depth) << "n=" << n;
+    }
+  }
+}
+
+/// Every meaningful byte of a wide node (lanes, children, count); the
+/// alignment padding after `count` is never written.
+bool same_node_bytes(const WideBvhNode& a, const WideBvhNode& b) {
+  return std::memcmp(&a, &b, offsetof(WideBvhNode, count) + sizeof(a.count)) == 0;
+}
+
+/// The collapse cuts large trees into subtree tasks by size alone and
+/// every task writes its own slots once, so one Bvh collapses to the same
+/// wide tree at any thread count: for a lidar cloud on the multi-task path
+/// and a tile-sized cloud on the single-task path. Refit reuses the
+/// recorded slot sources, so it must keep the tree valid and the wide
+/// walk's candidate sets equal to the binary walk's.
+TEST(WideBvh, CollapseLayoutIndependentOfThreadCount) {
+  for (const std::size_t n : {120000u, 4000u}) {
+    const float width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
+    Scene scene = make_scene(CloudKind::kLidar, n, width, 41);
+    WideBvh serial;
+    set_num_threads(1);
+    serial.build(scene.bvh);
+    set_num_threads(4);
+    WideBvh& parallel = scene.wide;
+    parallel.build(scene.bvh);
+    ASSERT_NO_THROW(serial.validate()) << "n=" << n;
+    ASSERT_NO_THROW(parallel.validate()) << "n=" << n;
+
+    ASSERT_EQ(serial.nodes().size(), parallel.nodes().size()) << "n=" << n;
+    for (std::size_t i = 0; i < serial.nodes().size(); ++i) {
+      ASSERT_TRUE(same_node_bytes(serial.nodes()[i], parallel.nodes()[i]))
+          << "n=" << n << " node " << i;
+    }
+    ASSERT_EQ(serial.leaves().size(), parallel.leaves().size()) << "n=" << n;
+    EXPECT_EQ(std::memcmp(serial.leaves().data(), parallel.leaves().data(),
+                          serial.leaves().size_bytes()),
+              0)
+        << "n=" << n;
+    EXPECT_TRUE(std::equal(serial.prim_order().begin(), serial.prim_order().end(),
+                           parallel.prim_order().begin(), parallel.prim_order().end()));
+    const WideBvhStats a = serial.stats();
+    const WideBvhStats b = parallel.stats();
+    EXPECT_EQ(a.node_count, b.node_count);
+    EXPECT_EQ(a.leaf_count, b.leaf_count);
+    EXPECT_EQ(a.max_depth, b.max_depth);
+    EXPECT_EQ(a.avg_children, b.avg_children);
+    EXPECT_EQ(a.total_index_bytes, b.total_index_bytes);
+
+    // Move every point a little, refit both trees, and compare walks.
+    Pcg32 rng(n);
+    for (std::size_t i = 0; i < scene.points.size(); ++i) {
+      Vec3& p = scene.points[i];
+      p = {p.x + 0.5f * width * (rng.next_float() - 0.5f),
+           p.y + 0.5f * width * (rng.next_float() - 0.5f), p.z};
+      scene.aabbs[i] = Aabb::cube(p, width);
+    }
+    scene.bvh.refit(scene.aabbs);
+    parallel.refit_from(scene.bvh);
+    set_num_threads(0);
+    ASSERT_NO_THROW(scene.bvh.validate()) << "n=" << n;
+    ASSERT_NO_THROW(parallel.validate()) << "n=" << n;
+    std::vector<Vec3> queries;
+    for (std::size_t i = 0; i < scene.points.size(); i += scene.points.size() / 2000) {
+      queries.push_back(scene.points[i]);
+    }
+    const auto rays = short_rays(queries);
+    Collector binary(queries.size());
+    trace(scene.bvh, rays, binary);
+    Collector wide(queries.size());
+    trace(parallel, rays, wide);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ASSERT_EQ(wide.hits[q], binary.hits[q]) << "n=" << n << " query " << q;
     }
   }
 }
