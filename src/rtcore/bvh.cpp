@@ -45,11 +45,6 @@ std::uint32_t split_range(const std::vector<std::uint64_t>& codes, std::uint32_t
   return first + 1;
 }
 
-// Slot ranges at most this long are built as one subtree task. The cut
-// depends on the range alone, never on the worker count, so the node array
-// is the same at any thread count; a cloud this small is a single task.
-constexpr std::uint32_t kTaskPrims = 4 * 1024;
-
 // Writes the subtree over the Morton-sorted slot range [lo, hi) in
 // pre-order from `slot`, each node whole and exactly once. Returns the
 // slot one past the subtree.
@@ -167,7 +162,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
     const Frame f = stack.back();
     stack.pop_back();
     std::uint32_t ref;
-    if (f.hi - f.lo <= kTaskPrims) {
+    if (f.hi - f.lo <= kBuildTaskPrims) {
       ref = kTaskRef | static_cast<std::uint32_t>(tasks.size());
       tasks.push_back({f.lo, f.hi, f.depth});
     } else {

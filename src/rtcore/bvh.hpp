@@ -40,6 +40,14 @@ struct BvhBuildOptions {
   std::uint32_t leaf_size = 1;
 };
 
+/// Subtree task size of the parallel index build. Bvh::build splits the
+/// sorted range, and WideBvh::build cuts the binary tree, into subtrees of
+/// at most this many primitives, each built by its own task. The cut is a
+/// function of the tree alone, never of the worker count, so both node
+/// arrays are the same bytes at any thread count; a cloud this small is a
+/// single task.
+inline constexpr std::uint32_t kBuildTaskPrims = 4 * 1024;
+
 struct BvhStats {
   std::uint32_t node_count = 0;
   std::uint32_t leaf_count = 0;
@@ -85,7 +93,7 @@ class Bvh {
 
   /// The node array. Node 0 is the root and every child comes after its
   /// parent. build() splits the Morton-sorted range top-down until each
-  /// piece holds at most a few thousand primitives (a function of the
+  /// piece holds at most kBuildTaskPrims primitives (a function of the
   /// range alone, never of the worker count): the nodes above the cut come
   /// first in pre-order, then each piece's subtree as one contiguous
   /// pre-order block, written by its own task, every slot exactly once.

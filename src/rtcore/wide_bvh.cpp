@@ -76,11 +76,10 @@ void fill_bounds(WideBvhNode& node, std::span<const BvhNode> bin_nodes,
   }
 }
 
-/// Binary subtrees of at most this many primitives collapse as one task;
-/// the wide nodes above them form the serial top. The cut depends only on
-/// the tree, never on the worker count, so the node array is the same at
-/// any thread count; a tree this small is a single task, its root.
-constexpr std::uint32_t kTaskPrims = 4 * 1024;
+/// Binary subtrees of at most kBuildTaskPrims primitives collapse as one
+/// task; the wide nodes above them form the serial top, whose child
+/// references tag a task index with this bit. A tree that small is a
+/// single task, its root.
 constexpr std::uint32_t kTaskRef = 0x80000000u;
 
 /// Primitives under binary node `id`: every Bvh subtree covers one
@@ -115,7 +114,7 @@ struct Cut {
 };
 
 /// Pass 1: records the block under `bin_root` (frontiers and counts), BFS.
-/// With a `cut`, interior slots over at most kTaskPrims primitives are not
+/// With a `cut`, interior slots over at most kBuildTaskPrims primitives are not
 /// expanded but handed to the cut as tasks.
 void collapse(std::span<const BvhNode> bin_nodes, std::uint32_t bin_root, Block& block,
               Cut* cut) {
@@ -135,7 +134,7 @@ void collapse(std::span<const BvhNode> bin_nodes, std::uint32_t bin_root, Block&
         ++block.leaf_count;
         continue;
       }
-      if (cut != nullptr && subtree_prims(bin_nodes, bin) <= kTaskPrims) {
+      if (cut != nullptr && subtree_prims(bin_nodes, bin) <= kBuildTaskPrims) {
         cut->refs.push_back(kTaskRef | static_cast<std::uint32_t>(cut->roots.size()));
         cut->roots.push_back(bin);
         cut->depths.push_back(depth + 1);
@@ -167,7 +166,7 @@ void WideBvh::build(const Bvh& source) {
   // Their interior slots below the cut root the tasks.
   Block top;
   Cut cut;
-  if (subtree_prims(bin_nodes, source.root()) <= kTaskPrims) {
+  if (subtree_prims(bin_nodes, source.root()) <= kBuildTaskPrims) {
     cut.roots.push_back(source.root());
     cut.depths.push_back(0);
   } else {

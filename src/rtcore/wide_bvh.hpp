@@ -19,10 +19,11 @@
 // Each wide node's frontier depends only on its binary root, so the
 // collapse is parallel by construction (as in GPU wide-BVH builders): a
 // short serial pass collapses the top of the tree, every binary subtree
-// of at most a few thousand primitives below it is collapsed as its own
-// task, and an exclusive scan of the tasks' node and leaf counts places
-// each task's block. The cut depends only on the tree, never on the
-// worker count, so the node array is the same at any thread count.
+// of at most kBuildTaskPrims primitives (bvh.hpp) below it is collapsed
+// as its own task, and an exclusive scan of the tasks' node and leaf
+// counts places each task's block. The cut depends only on the tree,
+// never on the worker count, so the node array is the same at any
+// thread count.
 #pragma once
 
 #include <array>
@@ -92,7 +93,7 @@ class WideBvh {
   /// counts; after a scan places every task, pass 2 writes child indices,
   /// leaves, slot sources and SoA lanes straight into the final arrays,
   /// each slot exactly once. Numbering: the top's nodes in BFS order, then
-  /// one BFS block per task; a tree of at most a few thousand primitives
+  /// one BFS block per task; a tree of at most kBuildTaskPrims primitives
   /// is a single task, one BFS. The binary node feeding each child slot is
   /// recorded so later refit_from() calls can refresh the lanes without
   /// re-collapsing.

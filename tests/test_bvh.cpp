@@ -154,7 +154,8 @@ TEST(Bvh, BuildTimeLinearInPrimCountShape) {
 // thread count the node array is the same bytes, and a slot nobody wrote
 // would show up here as differing garbage or fail validate().
 TEST(Bvh, ParallelBuildLayoutIndependentOfThreadCount) {
-  const auto aabbs = point_aabbs(60000, 0.002f, 37);  // ~15 tasks of <= 4096
+  const auto aabbs = point_aabbs(60000, 0.002f, 37);
+  ASSERT_GT(aabbs.size(), 8 * kBuildTaskPrims);  // many subtree tasks
   for (const std::uint32_t leaf_size : {1u, 4u}) {
     Bvh serial;
     Bvh parallel;

@@ -185,6 +185,7 @@ bool same_node_bytes(const WideBvhNode& a, const WideBvhNode& b) {
 /// recorded slot sources, so it must keep the tree valid and the wide
 /// walk's candidate sets equal to the binary walk's.
 TEST(WideBvh, CollapseLayoutIndependentOfThreadCount) {
+  static_assert(4000u <= kBuildTaskPrims && 120000u > 8 * kBuildTaskPrims);
   for (const std::size_t n : {120000u, 4000u}) {
     const float width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
     Scene scene = make_scene(CloudKind::kLidar, n, width, 41);

@@ -5,8 +5,8 @@
 counters, partitions/bundles, index bytes, refit/rebuild/tile lifecycle
 decisions) and checks that they repeat across runs and worker counts of
 one checkout. It cannot see a change that moves them consistently. This
-script runs it and compares its first counter table with the committed
-one (bench/selftest_seed1.txt): any counter that differs, appears or
+script runs it at seed 1 and compares its first counter table with the
+committed one (bench/selftest_seed1.txt): any counter that differs, appears or
 disappears fails the check. A change that moves a counter on purpose
 updates the table in the same commit (--update) and says why.
 
@@ -23,6 +23,8 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SEED = 1
+PINNED = ROOT / "bench" / "selftest_seed1.txt"
 COUNTER_LINE = re.compile(r"^\s+(\S+)\s+(-?\d+)\s*$")
 
 
@@ -55,15 +57,12 @@ def read_pinned(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--expected", type=pathlib.Path,
-                        default=ROOT / "bench" / "selftest_seed1.txt")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite --expected from this run instead of comparing")
+                        help="rewrite the pinned table from this run instead of comparing")
     args = parser.parse_args()
 
     run = subprocess.run([sys.executable, str(ROOT / "e2ebench" / "run.py"), "--selftest",
-                          "--seed", str(args.seed)],
+                          "--seed", str(SEED)],
                          capture_output=True, text=True, timeout=1800)
     sys.stdout.write(run.stdout)
     if run.returncode != 0:
@@ -75,13 +74,13 @@ def main():
 
     if args.update:
         width = max(len(name) for name in actual)
-        args.expected.write_text(
+        PINNED.write_text(
             "".join(f"{name:<{width}}  {value}\n" for name, value in sorted(actual.items())),
             encoding="utf-8")
-        print(f"check_selftest: wrote {len(actual)} counters to {args.expected}")
+        print(f"check_selftest: wrote {len(actual)} counters to {PINNED}")
         return
 
-    expected = read_pinned(args.expected)
+    expected = read_pinned(PINNED)
     failures = []
     for name in sorted(expected.keys() | actual.keys()):
         if name not in actual:
@@ -91,10 +90,10 @@ def main():
         elif expected[name] != actual[name]:
             failures.append(f"  {name}: pinned {expected[name]}, this run {actual[name]}")
     if failures:
-        print(f"check_selftest: FAIL, {len(failures)} counter(s) differ from {args.expected}:")
+        print(f"check_selftest: FAIL, {len(failures)} counter(s) differ from {PINNED}:")
         print("\n".join(failures))
         sys.exit(1)
-    print(f"check_selftest: OK, all {len(expected)} counters match {args.expected}")
+    print(f"check_selftest: OK, all {len(expected)} counters match {PINNED}")
 
 
 if __name__ == "__main__":
